@@ -52,13 +52,32 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Any, Callable
+
+
+class _InputError(Exception):
+    """A FILE argument the command cannot use (exit 2, one line)."""
+
+
+def _read_input(path: str,
+                load: Callable[[str], Any] = lambda p: Path(p).read_text()
+                ) -> Any:
+    """Load a FILE argument with *load*; a missing, unreadable or
+    malformed file is a usage error naming the path, not a traceback."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise _InputError(
+            f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise _InputError(f"cannot use {path}: {exc}") from None
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     from .core.method import compile_stage
     from .frontend import parse_module
 
-    source = Path(args.file).read_text()
+    source = _read_input(args.file)
     module = parse_module(source, Path(args.file).stem)
     compiled = compile_stage(module, args.compiler, args.target)
     print(f"# {compiled.compiler} -> {compiled.target}")
@@ -84,7 +103,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis.dependence import analyze_loop
     from .frontend import parse_module
 
-    source = Path(args.file).read_text()
+    source = _read_input(args.file)
     module = parse_module(source, Path(args.file).stem)
     for kernel in module.kernels:
         print(f"kernel {kernel.name}:")
@@ -419,7 +438,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
             print(json.dumps(client.stats(), indent=2, sort_keys=True))
             return 0
         if args.client_command == "compile":
-            source = Path(args.file).read_text()
+            source = _read_input(args.file)
             artifact = client.compile_source(
                 source, args.compiler, args.target, Path(args.file).stem
             )
@@ -496,7 +515,7 @@ def _cmd_jit_stats(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
-    template = KernelTemplate.from_source(Path(args.file).read_text())
+    template = KernelTemplate.from_source(_read_input(args.file))
     holes = ", ".join(f"${name}:{dtype}"
                       for name, dtype in sorted(template.holes.items()))
     print(f"template {template.name} ({template.template_id[:12]}) "
@@ -579,7 +598,7 @@ def _cmd_exec_sweep(args: argparse.Namespace) -> int:
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     from .telemetry import load_trace, text_report
 
-    spans, metrics = load_trace(args.file)
+    spans, metrics = _read_input(args.file, load_trace)
     print(text_report(spans, metrics, max_tree_lines=args.limit))
     return 0
 
@@ -894,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cli_errors(func):
     """Turn the structured failure modes into clean CLI exits: a bad
-    --faults spec or an unusable --cache-dir is a usage error (2); a
+    --faults spec, an unusable --cache-dir or FILE is a usage error (2); a
     sweep point still failing after the retry/breaker kit is exhausted
     is a run failure (1), reported as one line rather than a
     traceback."""
@@ -920,6 +939,9 @@ def _cli_errors(func):
             return 2
         except TemplateError as exc:
             print(f"repro: bad template/bindings: {exc}", file=sys.stderr)
+            return 2
+        except _InputError as exc:
+            print(f"repro: {exc}", file=sys.stderr)
             return 2
         except JobError as exc:
             print(f"repro: sweep failed after retries: {exc}",

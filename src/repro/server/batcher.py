@@ -1,8 +1,9 @@
 """Request batching and coalescing over one shared :class:`CompileService`.
 
 The daemon's workload is many small requests from many clients, and the
-compilers are pure — so the batcher applies two collapses before any
-compile runs:
+compilers are pure.  The daemon answers cache hits itself, on the
+connection thread, and hands the batcher only the misses; the batcher
+applies two collapses before any of them compiles:
 
 * **coalescing** — while a fingerprint is in flight, every further
   request for it (from *any* client) joins the same ticket and receives
@@ -129,9 +130,6 @@ class CoalescingBatcher:
             self._queue.append(ticket)
             self._wakeup.notify()
             return ticket
-
-    def submit_many(self, requests: list[CompileRequest]) -> list[BatchTicket]:
-        return [self.submit(request) for request in requests]
 
     # -- dispatch side ---------------------------------------------------------
 

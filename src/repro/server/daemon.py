@@ -10,7 +10,7 @@ One :class:`ReproServer` owns the whole server stack:
 * a :class:`~repro.service.cache.ShardedArtifactCache` disk tier
   (hash-prefix shards, per-shard locks, optional read-through peers);
 * a :class:`~repro.server.batcher.CoalescingBatcher` (cross-client
-  coalescing + micro-batching);
+  coalescing + micro-batching of cache misses);
 * an :class:`~repro.server.quotas.AdmissionController` (queue bound,
   per-client token buckets, drain state).
 
@@ -18,7 +18,10 @@ Each TCP connection is handled on its own thread
 (``socketserver.ThreadingMixIn``) and may carry any number of
 newline-delimited JSON frames (see :mod:`.protocol`).  A malformed frame
 answers 400 *on the same connection* and the connection stays up; an
-admission refusal answers 429/503 without queueing anything.
+admission refusal answers 429/503 without queueing anything.  An
+admitted point the service cache already holds is answered on the
+connection thread itself (:meth:`CompileService.lookup`); only misses
+wait for the batcher.
 
 Telemetry: every request runs inside a ``server.request`` span tagged
 ``client=<id>`` and ``lane=client:<id>`` — the Chrome/Perfetto export
@@ -41,12 +44,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..service.cache import ShardedArtifactCache
+from ..service.cache import MISS, ShardedArtifactCache
 from ..service.scheduler import CompileService
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.spans import get_tracer
 from . import protocol
-from .batcher import CoalescingBatcher
+from .batcher import BatchTicket, CoalescingBatcher
 from .quotas import AdmissionController
 
 __all__ = ["ServerConfig", "ReproServer"]
@@ -267,8 +270,10 @@ class ReproServer:
             span.set(status=f"rejected-{admission.reason}")
             return self._refusal(request_id, admission)
         try:
-            ticket = self.batcher.submit(request)
-            result = ticket.wait(self.config.result_timeout_s)
+            result = self.service.lookup(request)
+            if result is MISS:
+                result = self.batcher.submit(request).wait(
+                    self.config.result_timeout_s)
         finally:
             self.admission.release(1)
         slot = protocol.slot_to_wire(result)
@@ -291,8 +296,18 @@ class ReproServer:
             span.set(status=f"rejected-{admission.reason}")
             return self._refusal(request_id, admission)
         try:
-            tickets = self.batcher.submit_many(requests)
-            results = [t.wait(self.config.result_timeout_s) for t in tickets]
+            # hits fill their slots now; misses go to the batcher as they
+            # are found, so their compiles overlap the remaining lookups
+            answers: list[Any] = []
+            for request in requests:
+                result = self.service.lookup(request)
+                answers.append(self.batcher.submit(request)
+                               if result is MISS else result)
+            results = [
+                answer.wait(self.config.result_timeout_s)
+                if isinstance(answer, BatchTicket) else answer
+                for answer in answers
+            ]
         finally:
             self.admission.release(len(requests))
         slots = [protocol.slot_to_wire(r) for r in results]

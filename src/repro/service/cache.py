@@ -5,19 +5,24 @@ optional on-disk store (one pickle per fingerprint under ``cache_dir``)
 that survives the process and is shared between runs — the warm-sweep
 path of the Fig. 4 heat maps and the auto-tuner.
 
-The cache must be an *invisible* optimization: ``get`` and ``put`` both
-deep-copy, so no two callers ever alias the same artifact object, and a
-cache hit is observationally identical to a fresh compile (byte-identical
-PTX, identical instruction counters).  Failures are cacheable too — the
-compiler models are deterministic, so a module PGI rejects today it will
-reject tomorrow; the scheduler stores a marker and replays the error.
+The cache must be an *invisible* optimization.  Both tiers hold each
+artifact as one immutable pickle blob (``pickle.dumps`` at the highest
+protocol, taken once in ``put``): ``get`` returns ``pickle.loads`` of
+it, so every caller receives its own object and no two callers — nor a
+caller and the cache — can ever alias one, by construction.  A cache
+hit is observationally identical to a fresh compile (byte-identical
+PTX, identical instruction counters).  The disk tier writes that same
+blob, so an artifact is serialised once however many tiers it lands
+in.  Failures are cacheable too — the compiler models are
+deterministic, so a module PGI rejects today it will reject tomorrow;
+the scheduler stores a marker and replays the error.
 
 All operations are thread-safe (the scheduler's worker pool and the
 ``repro serve`` daemon's connection handlers share one cache).  The lock
-guards only *index* mutation — never file I/O: a multi-megabyte pickle
-landing on a slow disk must not stall every other client's lookups.
-Disk publishes are atomic (``os.replace``), so lock-free readers never
-observe a partial entry.
+guards only *index* mutation — never serialisation or file I/O: pickling
+a large artifact, or a multi-megabyte blob landing on a slow disk, must
+not stall every other client's lookups.  Disk publishes are atomic
+(``os.replace``), so lock-free readers never observe a partial entry.
 
 Two implementations share the contract:
 
@@ -36,7 +41,6 @@ copied through on a hit — the read-through peer mode of docs/SERVER.md.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import os
 import pickle
@@ -174,16 +178,14 @@ class ArtifactCache:
     #: read-only sibling stores consulted on a local disk miss; a hit is
     #: copied through into the local tiers (never written back)
     peer_dirs: tuple[str | os.PathLike[str], ...] = ()
-    #: deep-copy artifacts on the way in and out so cached state can never
-    #: be mutated through an alias; disable only for frozen artifacts.
-    copy_on_hit: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         if self.max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self._lock = threading.RLock()
-        self._entries: OrderedDict[str, Any] = OrderedDict()
+        #: fingerprint -> pickled artifact, in LRU order
+        self._entries: OrderedDict[str, bytes] = OrderedDict()
         if self.cache_dir is not None:
             self.cache_dir = ensure_writable_dir(self.cache_dir)
         self.peer_dirs = tuple(Path(p) for p in self.peer_dirs)
@@ -191,27 +193,32 @@ class ArtifactCache:
     # -- lookup ---------------------------------------------------------------
 
     def get(self, fingerprint: str) -> Any:
-        """The artifact stored under *fingerprint*, or :data:`MISS`."""
+        """The artifact stored under *fingerprint* (a fresh object on
+        every call), or :data:`MISS`."""
         with self._lock:
-            if fingerprint in self._entries:
+            blob = self._entries.get(fingerprint)
+            if blob is not None:
                 self._entries.move_to_end(fingerprint)
                 self.stats.memory_hits += 1
-                return self._out(self._entries[fingerprint])
-        # the slow tiers run unlocked: unpickling a large artifact (or a
+        if blob is not None:
+            return pickle.loads(blob)
+        # the slow tiers run unlocked: reading a large artifact (or a
         # peer NFS read) must not stall other fingerprints' lookups
-        artifact = self._disk_load(fingerprint)
-        if artifact is not MISS:
+        entry = self._disk_load(fingerprint)
+        if entry is not None:
+            blob, artifact = entry
             with self._lock:
                 self.stats.disk_hits += 1
-                self._install(fingerprint, artifact)
-                return self._out(artifact)
-        artifact = self._peer_load(fingerprint)
-        if artifact is not MISS:
-            self._disk_store(fingerprint, artifact, count=False)  # copy through
+                self._install(fingerprint, blob)
+            return artifact
+        entry = self._peer_load(fingerprint)
+        if entry is not None:
+            blob, artifact = entry
+            self._disk_store(fingerprint, blob, count=False)  # copy through
             with self._lock:
                 self.stats.peer_hits += 1
-                self._install(fingerprint, artifact)
-                return self._out(artifact)
+                self._install(fingerprint, blob)
+            return artifact
         with self._lock:
             self.stats.misses += 1
         return MISS
@@ -234,6 +241,8 @@ class ArtifactCache:
     def put(self, fingerprint: str, artifact: Any) -> None:
         """Store *artifact* in both tiers under *fingerprint*.
 
+        The artifact is pickled once, before the lock is taken; later
+        mutation of *artifact* by the caller cannot reach the cache.
         Idempotent per fingerprint: a second ``put`` for a stored key is
         a counted no-op (``stats.redundant_stores``).  The compilers are
         content-addressed pure functions, so a repeat store can only be
@@ -241,12 +250,13 @@ class ArtifactCache:
         result was abandoned, or the losing side of a hedged pair — and
         must not double-count stores or re-write the disk tier.
         """
+        blob = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
         with self._lock:
             if fingerprint in self._entries:
                 self.stats.redundant_stores += 1
                 return
             self.stats.stores += 1
-            self._install(fingerprint, self._in(artifact))
+            self._install(fingerprint, blob)
         disk = self._disk_path(fingerprint)
         if disk is None:
             return
@@ -254,7 +264,7 @@ class ArtifactCache:
             with self._lock:
                 self.stats.redundant_stores += 1
             return
-        self._disk_store(fingerprint, artifact)
+        self._disk_store(fingerprint, blob)
 
     def clear(self, memory_only: bool = True) -> None:
         """Drop the memory tier (and the disk tier if asked)."""
@@ -266,14 +276,8 @@ class ArtifactCache:
 
     # -- internals -------------------------------------------------------------
 
-    def _out(self, artifact: Any) -> Any:
-        return copy.deepcopy(artifact) if self.copy_on_hit else artifact
-
-    def _in(self, artifact: Any) -> Any:
-        return copy.deepcopy(artifact) if self.copy_on_hit else artifact
-
-    def _install(self, fingerprint: str, artifact: Any) -> None:
-        self._entries[fingerprint] = artifact
+    def _install(self, fingerprint: str, blob: bytes) -> None:
+        self._entries[fingerprint] = blob
         self._entries.move_to_end(fingerprint)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -288,45 +292,49 @@ class ArtifactCache:
         for peer in self.peer_dirs:
             yield Path(peer) / f"{fingerprint}.pkl"
 
-    def _disk_load(self, fingerprint: str) -> Any:
+    def _disk_load(self, fingerprint: str) -> tuple[bytes, Any] | None:
         path = self._disk_path(fingerprint)
         if path is None or not path.exists():
-            return MISS
+            return None
         try:
-            with path.open("rb") as fh:
-                return pickle.load(fh)
+            return _read_entry(path)
         except Exception:
             # a truncated/corrupt entry is a miss, not an error;
             # drop it so the fresh artifact replaces it
             path.unlink(missing_ok=True)
-            return MISS
+            return None
 
-    def _peer_load(self, fingerprint: str) -> Any:
+    def _peer_load(self, fingerprint: str) -> tuple[bytes, Any] | None:
         for path in self._peer_paths(fingerprint):
             if not path.exists():
                 continue
             try:
-                with path.open("rb") as fh:
-                    return pickle.load(fh)
+                return _read_entry(path)
             except Exception:
                 continue  # peers are read-only: never delete their entries
-        return MISS
+        return None
 
-    def _disk_store(self, fingerprint: str, artifact: Any,
+    def _disk_store(self, fingerprint: str, blob: bytes,
                     count: bool = True) -> None:
         path = self._disk_path(fingerprint)
         if path is None:
             return
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         try:
-            with tmp.open("wb") as fh:
-                pickle.dump(artifact, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            tmp.write_bytes(blob)
             os.replace(tmp, path)  # atomic publish: readers never see partial
             if count:
                 with self._lock:
                     self.stats.disk_stores += 1
         except Exception:
             tmp.unlink(missing_ok=True)  # disk tier is best-effort
+
+
+def _read_entry(path: Path) -> tuple[bytes, Any]:
+    """One stored blob and the artifact it holds (the load doubles as the
+    integrity check: a corrupt blob raises here, never after install)."""
+    blob = path.read_bytes()
+    return blob, pickle.loads(blob)
 
 
 class ShardedArtifactCache:
@@ -347,7 +355,6 @@ class ShardedArtifactCache:
         max_entries: int = 512,
         cache_dir: str | os.PathLike[str] | None = None,
         peer_dirs: tuple[str | os.PathLike[str], ...] = (),
-        copy_on_hit: bool = True,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -368,7 +375,6 @@ class ShardedArtifactCache:
                                     for peer in self.peer_dirs)
                         if p is not None
                     ),
-                    copy_on_hit=copy_on_hit,
                 )
             )
 

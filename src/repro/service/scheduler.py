@@ -14,6 +14,9 @@ owns an :class:`ArtifactCache`, a :class:`ServiceMetrics`, and (when
 * :meth:`sweep` — fault-tolerant batch for parameter sweeps: a failed
   point yields a structured :class:`JobError` in its slot and the rest
   of the sweep completes.
+* :meth:`lookup` — the sweep slot of a point the cache already holds
+  (else :data:`~repro.service.cache.MISS`); the daemon's inline hit
+  path.
 
 Resilience (docs/FAULTS.md): the service survives the compiler
 fragility the paper documents — injected via :mod:`repro.faults` —
@@ -362,24 +365,57 @@ class CompileService:
                     request, journal.lookup(request.fingerprint)  # type: ignore[union-attr,arg-type]
                 ))
                 continue
-            try:
-                result = self._gather(request, pending[index], strict=True)
-            except JobError as err:
-                result = err
-            except Exception as exc:  # compiler error captured in-slot
-                result = JobError(
-                    request.label or request.module.name,
-                    request.fingerprint,
-                    "fault" if is_injected_fault(exc) else "compile-error",
-                    str(exc),
-                )
-            if self.breaker is not None:
-                result = self._admit(request, result)
-            if journal is not None:
-                journal.record(request.fingerprint,
-                               self._journal_entry(result))
-            results.append(result)
+            future = pending[index]
+            results.append(self._slot(
+                request,
+                lambda: self._gather(request, future, strict=True),
+                journal,
+            ))
         return results
+
+    def lookup(self, request: CompileRequest) -> Any:
+        """The sweep slot for *request* when the cache already holds its
+        result (an artifact, or the :class:`JobError` a cached compile
+        failure gives), else :data:`MISS` — the daemon's inline hit path.
+
+        A miss is screened out by a membership peek that counts nothing
+        and draws no cache fault, so the compile that follows counts it
+        once.  A hit is served by :meth:`compile_request` (one request,
+        one cache hit) and shaped, breaker-admitted and journaled exactly
+        like a :meth:`sweep` slot; an entry lost between the peek and the
+        read (evicted, or an injected read fault) is compiled right here.
+        Journaled fingerprints are left to the sweep, which replays them
+        byte-identically.
+        """
+        journal = self.journal
+        fingerprint = request.fingerprint
+        if fingerprint not in self.cache or (
+                journal is not None
+                and journal.lookup(fingerprint) is not None):
+            return MISS
+        return self._slot(request, lambda: self.compile_request(request),
+                          journal)
+
+    def _slot(self, request: CompileRequest, produce: Callable[[], Any],
+              journal: SweepJournal | None) -> Any:
+        """Run *produce* and shape its outcome into one sweep slot: the
+        artifact, or a :class:`JobError` in place of the exception."""
+        try:
+            result = produce()
+        except JobError as err:
+            result = err
+        except Exception as exc:  # compiler error captured in-slot
+            result = JobError(
+                request.label or request.module.name,
+                request.fingerprint,
+                "fault" if is_injected_fault(exc) else "compile-error",
+                str(exc),
+            )
+        if self.breaker is not None:
+            result = self._admit(request, result)
+        if journal is not None:
+            journal.record(request.fingerprint, self._journal_entry(result))
+        return result
 
     # -- circuit breaker -------------------------------------------------------
 
@@ -440,7 +476,8 @@ class CompileService:
     def _mark_degraded(self, artifact: Any, original: tuple[str, str],
                        fallback: tuple[str, str]) -> None:
         """Surface a breaker fallback on the artifact itself (results
-        are deep copies, so the cached pristine artifact is untouched)."""
+        are fresh unpickled objects, so the cached pristine artifact is
+        untouched)."""
         try:
             artifact.degraded = True
             artifact.degraded_from = "-".join(original)

@@ -268,9 +268,20 @@ def _span_from_chrome(event: dict[str, Any]) -> Span:
 
 
 def load_trace(path: str) -> tuple[list[Span], dict[str, Any] | None]:
-    """Read a saved trace in either format; returns (spans, metrics)."""
+    """Read a saved trace in either format; returns (spans, metrics).
+
+    Raises ``OSError`` when *path* cannot be read and ``ValueError``
+    when its content is not a trace."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            return _parse_trace(fh.read())
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"not a saved trace ({type(exc).__name__}: {exc})"
+            ) from None
+
+
+def _parse_trace(text: str) -> tuple[list[Span], dict[str, Any] | None]:
     stripped = text.lstrip()
     if stripped.startswith("{") and '"traceEvents"' in stripped[:200]:
         payload = json.loads(text)

@@ -238,3 +238,26 @@ class TestExecSweep:
         code = main(["exec-sweep", "--cache-dir", str(blocker / "x")])
         assert code == 2
         assert "bad --cache-dir" in capsys.readouterr().err
+
+
+class TestUnusableInputFiles:
+    """A FILE argument that is missing or is not what the command reads
+    exits 2 with one line naming the path — never a traceback."""
+
+    @pytest.mark.parametrize("argv, content", [
+        (["compile"], None),
+        (["analyze"], None),
+        (["telemetry"], None),
+        (["telemetry"], DEMO),               # C source, not a trace
+        (["telemetry"], "[1, 2, 3]\n"),     # JSON, not a trace record
+        (["telemetry"], '{"traceEvents": 7}'),
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, argv, content):
+        path = tmp_path / "input.txt"
+        if content is not None:
+            path.write_text(content)
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and str(path) in lines[0]
+        assert captured.out == ""

@@ -104,6 +104,89 @@ def test_sweep_through_daemon_matches_in_process_byte_for_byte():
 
 
 # --------------------------------------------------------------------------
+# cache hits answered on the connection thread
+# --------------------------------------------------------------------------
+
+def test_warm_compile_is_answered_without_the_batch_window():
+    """A hit never waits in the micro-batch window: it is answered on
+    the connection thread and never reaches the batcher."""
+    import time
+
+    with spawn_local(ServerConfig(jobs=1, batch_window_s=0.5)) as (
+            server, client):
+        client.compile_request(demo_request())  # cold: through the batcher
+        submitted = server.batcher.snapshot()["submitted"]
+        start = time.perf_counter()
+        client.compile_request(demo_request())
+        assert time.perf_counter() - start < 0.25
+        assert server.batcher.snapshot()["submitted"] == submitted
+
+
+def test_cache_hit_still_needs_admission():
+    server = make_server(quota_rate=0.001, quota_burst=1.0)
+    try:
+        host, port = server.address
+        with ServerClient(host, port, client_id="spent") as client:
+            client.compile_request(demo_request())  # spends the one token
+            hits = server.service.cache.stats.hits
+            with pytest.raises(protocol.ServerRejected) as excinfo:
+                client.compile_request(demo_request())
+        assert excinfo.value.code == protocol.REJECTED
+        assert excinfo.value.kind == "quota"
+        assert server.service.cache.stats.hits == hits  # never looked up
+    finally:
+        server.drain()
+
+
+def test_cached_refusal_answers_the_batched_slot_inline():
+    """PGI refuses OpenCL: the first answer comes through the batcher,
+    the second from the cached failure on the connection thread, and
+    the two wire slots are identical."""
+    request = CompileRequest(parse_module(SOURCE, "demo"), "pgi", "opencl")
+    point = protocol.point_to_wire(request)
+    with spawn_local(ServerConfig(jobs=1)) as (server, client):
+        batched = client._call("compile", point=point)["result"]
+        inline = client._call("compile", point=point)["result"]
+        assert server.batcher.snapshot()["submitted"] == 1
+    assert batched["status"] == "error"
+    assert batched["kind"] == "compile-error"
+    assert "PGI" in batched["message"]
+    assert ((inline["status"], inline["kind"], inline["message"])
+            == (batched["status"], batched["kind"], batched["message"]))
+
+
+def test_sweep_mixing_hits_and_misses_keeps_request_order():
+    from repro.service.scheduler import CompileService
+
+    requests = fig4_requests(6)
+    baseline = [artifact_signature(s)
+                for s in CompileService().sweep(requests)]
+    with spawn_local(ServerConfig(jobs=2)) as (server, client):
+        client.sweep(requests[::2])  # warm every other point
+        got = [artifact_signature(s) for s in client.sweep(requests)]
+        assert server.batcher.snapshot()["submitted"] == 6
+    assert got == baseline
+
+
+def test_counters_count_each_request_once():
+    """One source of truth: a cold request is one cache miss and one
+    compile, a warm one is one cache hit — never a miss and a hit."""
+    cold, warm = 3, 5
+    requests = fig4_requests(cold)
+    with spawn_local(ServerConfig(jobs=1)) as (_server, client):
+        for request in requests:
+            client.compile_request(request)
+        for index in range(warm):
+            client.compile_request(requests[index % cold])
+        stats = client.stats()
+    assert stats["cache"]["misses"] == stats["service"]["compiles"] == cold
+    assert stats["cache"]["memory_hits"] + stats["cache"]["disk_hits"] \
+        + stats["cache"]["peer_hits"] == warm
+    assert stats["service"]["cache_hits"] == warm
+    assert stats["service"]["requests"] == cold + warm
+
+
+# --------------------------------------------------------------------------
 # admission control
 # --------------------------------------------------------------------------
 

@@ -37,7 +37,7 @@ class TestMemoryTier:
         assert cache.get("a") == 1
         assert cache.get("b") is MISS
 
-    def test_copy_on_hit_isolates_callers(self):
+    def test_each_hit_isolates_callers(self):
         """The cache is an invisible optimization: mutating a returned
         artifact must not corrupt the cached copy (or other callers)."""
         cache = ArtifactCache()
@@ -262,15 +262,12 @@ class TestPeerReadThrough:
 
 
 class _BlockingPickle:
-    """Pickling blocks until `gate` is set; deep-copy stays instant, so
-    the memory tier is fast and only the disk write stalls."""
+    """Pickling blocks until `gate` is set, so a ``put`` of it stalls
+    while serialising, which runs outside the cache lock."""
 
     def __init__(self, gate, entered):
         self.gate = gate
         self.entered = entered
-
-    def __deepcopy__(self, memo):
-        return self
 
     def __reduce__(self):
         self.entered.set()
@@ -323,7 +320,8 @@ class TestLockNarrowing:
         assert fresh.get("slow-fp") == "unblocked"
 
     def test_memory_tier_of_the_slow_fingerprint_stays_readable(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
+        import os
         import threading
 
         from repro.service import ArtifactCache
@@ -331,18 +329,28 @@ class TestLockNarrowing:
         cache = ArtifactCache(cache_dir=tmp_path)
         gate = threading.Event()
         entered = threading.Event()
-        slow = _BlockingPickle(gate, entered)
+        publish = os.replace
 
-        writer = threading.Thread(target=cache.put, args=("slow-fp", slow))
+        def slow_publish(src, dst):
+            # the disk write itself stalls, after the blob was pickled
+            entered.set()
+            assert gate.wait(timeout=10), "test gate never opened"
+            publish(src, dst)
+
+        monkeypatch.setattr(os, "replace", slow_publish)
+        writer = threading.Thread(target=cache.put,
+                                  args=("slow-fp", {"log": ["slow"]}))
         writer.start()
         try:
             assert entered.wait(timeout=10)
             # the memory tier was installed before the disk write began
-            assert isinstance(cache.get("slow-fp"), _BlockingPickle)
+            assert cache.get("slow-fp") == {"log": ["slow"]}
             assert cache.stats.memory_hits == 1
         finally:
             gate.set()
             writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (tmp_path / "slow-fp.pkl").exists()
 
     def test_parallel_puts_of_distinct_fingerprints(self, tmp_path):
         import threading
