@@ -9,7 +9,9 @@ The performance model (:mod:`repro.perf`) needs, per kernel launch:
 * estimated trip counts of sequential inner loops.
 
 All of it derives statically from the IR, matching the paper's static-PTX
-methodology (section IV-C).
+methodology (section IV-C).  Only the trip counts depend on a launch's
+sizes, so :class:`LoopBounds` and :class:`OpCountPlan` analyse a loop or
+a statement once and evaluate it per launch env.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import enum
 from dataclasses import dataclass, field
 
 from ..ir.expr import ArrayRef, BinOp, Call, Cast, Expr, Ternary, UnaryOp
-from ..ir.stmt import Assign, Decl, For, If, KernelFunction, Stmt, While
+from ..ir.stmt import Assign, Block, Decl, For, If, KernelFunction, Stmt, While
 from ..ir.visitors import writes_and_reads
 from .affine import coefficient_of, constant_value, evaluate, linearize
 
@@ -231,8 +233,166 @@ def _count_index(expr: Expr, counts: OpCounts) -> None:
             _count_index(index, counts)
 
 
+DEFAULT_TRIP = 16
+
+#: a count vector lists the :class:`OpCounts` fields in declaration order
+_FIELDS = tuple(OpCounts.__dataclass_fields__)
+_COMPARES = _FIELDS.index("compares")
+_INT_OPS = _FIELDS.index("int_ops")
+_BRANCHES = _FIELDS.index("branches")
+
+
+def _branch_weight(divergent: bool) -> float:
+    # SIMT divergence: a warp with lanes on both sides executes both paths
+    # serially, so both branches are charged in full; a host CPU
+    # (divergent=False) predicts and executes one path — charge the average
+    return 1.0 if divergent else 0.5
+
+
+class LoopBounds:
+    """A ``For`` loop's bounds, linearized once, evaluated per env.
+
+    The trip count falls back to a representative :data:`DEFAULT_TRIP`
+    when a bound cannot be evaluated (documented heuristic); a benchmark
+    can override the fallback with an ``_default_trip`` env entry — e.g.
+    BFS passes its average degree for the data-dependent edge loops.
+    """
+
+    __slots__ = ("var", "step", "lower", "upper")
+
+    def __init__(self, loop: For) -> None:
+        self.var = loop.var
+        self.step = loop.step
+        self.lower = linearize(loop.lower)
+        self.upper = linearize(loop.upper)
+
+    def trips(self, env: dict[str, int]) -> int:
+        fallback = env.get("_default_trip", DEFAULT_TRIP)
+        if self.lower is None or self.upper is None:
+            return fallback
+        try:
+            lo = evaluate(self.lower, env)
+            hi = evaluate(self.upper, env)
+        except KeyError:
+            return fallback
+        if hi <= lo:
+            return 0
+        return (hi - lo + self.step - 1) // self.step
+
+    def midpoint(self, env: dict[str, int], trips: int) -> int:
+        """A representative value of the induction variable, so nested
+        (triangular) bounds resolve: for the j in [i, n) loops of LUD/GE
+        the midpoint gives the right average trip count.  An unevaluable
+        lower bound counts as 0."""
+        try:
+            lo = evaluate(self.lower, env) if self.lower is not None else 0
+        except KeyError:
+            lo = 0
+        return lo + (trips // 2) * self.step
+
+
+class OpCountPlan:
+    """:func:`count_ops` of one statement, analysed once, evaluated per env.
+
+    Building the plan walks the statement once: every straight-line
+    region's counts are summed then, with the same register-CSE order as
+    a walk, and an ``If`` whose two sides are straight-line folds in for
+    both ``divergent`` settings.  What an evaluation still computes is
+    the env-dependent rest: each inner ``For`` evaluates its linearized
+    bounds (and the midpoint its body sees), and each ``If`` containing
+    one weights its two sides.
+    """
+
+    __slots__ = ("static", "loops", "branches")
+
+    def __init__(self, stmt: Stmt, seen_loads: set[str] | None = None) -> None:
+        #: loops and env-dependent branches, in walk order
+        self.loops: list[tuple[LoopBounds, OpCountPlan]] = []
+        self.branches: list[tuple[OpCountPlan, OpCountPlan]] = []
+        base = OpCounts()
+        folded = {True: [0] * len(_FIELDS), False: [0] * len(_FIELDS)}
+        self._add(stmt, base, folded,
+                  set() if seen_loads is None else seen_loads)
+        #: divergent -> the count vector of everything env-independent
+        self.static = {
+            divergent: tuple(getattr(base, name) + f
+                             for name, f in zip(_FIELDS, extra))
+            for divergent, extra in folded.items()
+        }
+
+    def _add(self, stmt: Stmt, counts: OpCounts,
+             folded: dict[bool, list[int]], seen: set[str]) -> None:
+        if isinstance(stmt, Assign):
+            if isinstance(stmt.target, ArrayRef):
+                counts.stores += 1
+                for index in stmt.target.indices:
+                    _count_index(index, counts)
+                if stmt.op is not None:
+                    counts.loads += 1
+                    counts.flops_add += 1
+            elif stmt.op is not None:
+                counts.flops_add += 1
+            _count_expr(stmt.value, counts, seen)
+        elif isinstance(stmt, Decl):
+            if stmt.init is not None:
+                _count_expr(stmt.init, counts, seen)
+        elif isinstance(stmt, If):
+            counts.branches += 1
+            _count_expr(stmt.cond, counts, seen)
+            then = OpCountPlan(stmt.then_body, seen)
+            other = OpCountPlan(
+                stmt.else_body if stmt.else_body is not None else Block(),
+                seen,
+            )
+            if then.loops or then.branches or other.loops or other.branches:
+                self.branches.append((then, other))
+            else:
+                for divergent, extra in folded.items():
+                    weight = _branch_weight(divergent)
+                    pairs = zip(then.static[divergent],
+                                other.static[divergent])
+                    for k, (t, e) in enumerate(pairs):
+                        extra[k] += int(weight * (t + e))
+        elif isinstance(stmt, For):
+            # CSE resets per iteration
+            self.loops.append((LoopBounds(stmt), OpCountPlan(stmt.body)))
+        elif isinstance(stmt, While):
+            self._add(stmt.body, counts, folded, set())
+        else:  # Block and Barrier
+            for child in stmt.children_stmts():
+                self._add(child, counts, folded, seen)
+
+    def evaluate(self, env: dict[str, int], divergent: bool = True
+                 ) -> list[int]:
+        """The count vector (fields in :class:`OpCounts` order) under *env*."""
+        counts = list(self.static[divergent])
+        for bounds, body in self.loops:
+            trips = bounds.trips(env)
+            if body.loops or body.branches:
+                inner = dict(env)
+                inner[bounds.var] = bounds.midpoint(env, trips)
+                per_trip = body.evaluate(inner, divergent)
+            else:
+                per_trip = body.static[divergent]
+            for k, value in enumerate(per_trip):
+                counts[k] += value * trips
+            counts[_COMPARES] += trips
+            counts[_INT_OPS] += trips  # induction increment
+            counts[_BRANCHES] += trips
+        if self.branches:
+            weight = _branch_weight(divergent)
+            for then, other in self.branches:
+                pairs = zip(then.evaluate(env, divergent),
+                            other.evaluate(env, divergent))
+                for k, (t, e) in enumerate(pairs):
+                    counts[k] += int(weight * (t + e))
+        return counts
+
+    def counts(self, env: dict[str, int], divergent: bool = True) -> OpCounts:
+        return OpCounts(*self.evaluate(env, divergent))
+
+
 def count_ops(stmt: Stmt, loop_env: dict[str, int] | None = None,
-              _seen_loads: set[str] | None = None,
               divergent: bool = True) -> OpCounts:
     """Statically count operations for one execution of *stmt*.
 
@@ -240,98 +400,18 @@ def count_ops(stmt: Stmt, loop_env: dict[str, int] | None = None,
     evaluated in *loop_env* (falling back to a representative trip count of
     16 when the bound cannot be evaluated — documented heuristic).
     Identical loads within one straight-line region are counted once
-    (register CSE); the set resets at every loop back-edge.
+    (register CSE); the set resets at every loop back-edge.  One-shot
+    form of :class:`OpCountPlan`; a caller evaluating the same statement
+    under many envs keeps the plan instead.
     """
-    counts = OpCounts()
-    seen = _seen_loads if _seen_loads is not None else set()
-    if isinstance(stmt, (Assign,)):
-        if isinstance(stmt.target, ArrayRef):
-            counts.stores += 1
-            for index in stmt.target.indices:
-                _count_index(index, counts)
-            if stmt.op is not None:
-                counts.loads += 1
-                counts.flops_add += 1
-        elif stmt.op is not None:
-            counts.flops_add += 1
-        _count_expr(stmt.value, counts, seen)
-        return counts
-    if isinstance(stmt, Decl):
-        if stmt.init is not None:
-            _count_expr(stmt.init, counts, seen)
-        return counts
-    if isinstance(stmt, If):
-        counts.branches += 1
-        _count_expr(stmt.cond, counts, seen)
-        then_counts = count_ops(stmt.then_body, loop_env, seen, divergent)
-        else_counts = (
-            count_ops(stmt.else_body, loop_env, seen, divergent)
-            if stmt.else_body is not None
-            else OpCounts()
-        )
-        # SIMT divergence: a warp with lanes on both sides executes both
-        # paths serially, so both branches are charged in full; a host CPU
-        # (divergent=False) predicts and executes one path — charge the
-        # average
-        weight = 1.0 if divergent else 0.5
-        for name in counts.__dataclass_fields__:
-            setattr(
-                counts,
-                name,
-                getattr(counts, name)
-                + int(weight * (getattr(then_counts, name)
-                                + getattr(else_counts, name))),
-            )
-        return counts
-    if isinstance(stmt, For):
-        trips = trip_count(stmt, loop_env)
-        # thread a representative midpoint value for the induction variable
-        # so nested (triangular) bounds resolve: for the j in [i, n) loops of
-        # LUD/GE the midpoint gives the right average trip count.
-        inner_env = dict(loop_env or {})
-        lower_form = linearize(stmt.lower)
-        try:
-            lo = evaluate(lower_form, inner_env) if lower_form is not None else 0
-        except KeyError:
-            lo = 0
-        inner_env[stmt.var] = lo + (trips // 2) * stmt.step
-        body = count_ops(stmt.body, inner_env, set(), divergent)  # CSE resets per iteration
-        counts.compares += trips
-        counts.int_ops += trips  # induction increment
-        counts.branches += trips
-        for name in body.__dataclass_fields__:
-            setattr(counts, name, getattr(counts, name) + getattr(body, name) * trips)
-        return counts
-    if isinstance(stmt, While):
-        return count_ops(stmt.body, loop_env, set(), divergent)
-    # Block and Barrier
-    for child in stmt.children_stmts():
-        counts = counts + count_ops(child, loop_env, seen, divergent)
-    return counts
-
-
-DEFAULT_TRIP = 16
+    return OpCountPlan(stmt).counts(loop_env or {}, divergent)
 
 
 def trip_count(loop: For, env: dict[str, int] | None = None) -> int:
-    """Evaluate the loop trip count under *env*; heuristic fallback when the
-    bounds involve unknown symbols (a benchmark can override the fallback
-    with an ``_default_trip`` entry — e.g. BFS passes its average degree
-    for the data-dependent edge loops)."""
-    env = env or {}
-    fallback = env.get("_default_trip", DEFAULT_TRIP)
-    lower = linearize(loop.lower)
-    upper = linearize(loop.upper)
-    if lower is None or upper is None:
-        return fallback
-    try:
-        lo = evaluate(lower, env)
-        hi = evaluate(upper, env)
-    except KeyError:
-        return fallback
-    if hi <= lo:
-        return 0
-    return (hi - lo + loop.step - 1) // loop.step
+    """Evaluate the loop trip count under *env* (one-shot
+    :class:`LoopBounds`), with its heuristic fallback for unknown
+    symbols."""
+    return LoopBounds(loop).trips(env or {})
 
 
 @dataclass

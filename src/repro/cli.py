@@ -56,7 +56,14 @@ from typing import Any, Callable
 
 
 class _InputError(Exception):
-    """A FILE argument the command cannot use (exit 2, one line)."""
+    """A FILE argument or option value the command cannot use (exit 2,
+    one line)."""
+
+
+def _require_positive(option: str, value: int | None) -> None:
+    """A size option below 1 is a usage error naming the value."""
+    if value is not None and value < 1:
+        raise _InputError(f"{option} must be positive, got {value}")
 
 
 def _read_input(path: str,
@@ -268,6 +275,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     from .devices import device_by_name
     from .kernels import get_benchmark
 
+    _require_positive("--size", args.size)
     device = device_by_name(args.device)
     ladder = normalize_ladder(args.ladder)
     service = _service_from_args(args)
@@ -566,6 +574,7 @@ def _cmd_exec_sweep(args: argparse.Namespace) -> int:
     from .runtime.parallel import run_exec_sweep
     from .telemetry import get_registry
 
+    _require_positive("--size", args.size)
     service = _service_from_args(args)
     sizes = None
     if args.size is not None:

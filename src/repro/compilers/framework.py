@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass, field
 
 from ..analysis.patterns import (
+    LoopBounds,
+    OpCountPlan,
     OpCounts,
     coalescing_fraction,
-    count_ops,
-    trip_count,
 )
 from ..ir.stmt import For, KernelFunction
 from ..perf.model import LaunchConfig, WorkProfile
@@ -92,6 +92,49 @@ class ThreadDistribution:
         )
 
 
+class LaunchPlan:
+    """The launch-invariant static analysis of one compiled kernel.
+
+    Only a launch's env (sizes, the host loop index) changes between the
+    launches of one kernel, so everything else is analysed once, from
+    static IR — the paper's per-kernel static-PTX posture (section
+    IV-C): the parallel loops' linearized bounds, the element width, the
+    innermost parallel body's coalesced fraction and op-count plan, and
+    (on first need) the whole body's op-count plan for sequential work
+    and host fallback.  A launch then only evaluates affine forms.
+
+    A plan is pure: two threads racing to build one only duplicate work.
+    It assumes the kernel's IR is not mutated once launched.
+    """
+
+    def __init__(self, kernel: "CompiledKernel") -> None:
+        loops: list[For] = []
+        for loop_id in kernel.parallel_loop_ids:
+            try:
+                loops.append(kernel.ir.find_loop(loop_id))
+            except KeyError:
+                pass
+        #: the parallel loops' bounds, outer-first
+        self.loops = tuple(LoopBounds(loop) for loop in loops)
+        self.elem_bytes = max(
+            [4, *(p.type.size_bytes for p in kernel.ir.array_params)]  # type: ignore[union-attr]
+        )
+        self.inner_ops: OpCountPlan | None = None
+        self.coalesced = 1.0
+        if loops:
+            innermost = loops[-1]
+            self.inner_ops = OpCountPlan(innermost.body)
+            self.coalesced = coalescing_fraction(innermost.body, innermost.var)
+        self._body = kernel.ir.body
+        self._body_ops: OpCountPlan | None = None
+
+    def body_ops(self) -> OpCountPlan:
+        plan = self._body_ops
+        if plan is None:
+            plan = self._body_ops = OpCountPlan(self._body)
+        return plan
+
+
 @dataclass
 class CompiledKernel:
     """One device kernel as produced by a compiler backend."""
@@ -148,17 +191,22 @@ class CompiledKernel:
 
     # -- performance-model view ---------------------------------------------
 
-    def _parallel_loops(self) -> list[For]:
-        loops = []
-        for loop_id in self.parallel_loop_ids:
-            try:
-                loops.append(self.ir.find_loop(loop_id))
-            except KeyError:
-                pass
-        return loops
+    def launch_plan(self) -> LaunchPlan:
+        """This kernel's :class:`LaunchPlan`, built on first use."""
+        plan = self.__dict__.get("_launch_plan")
+        if plan is None:
+            plan = self._launch_plan = LaunchPlan(self)
+        return plan
+
+    def __getstate__(self) -> dict:
+        # the plan is derived from the IR: a pickled artifact (cache blob,
+        # disk or peer tier) is the same whether or not it was launched
+        state = dict(self.__dict__)
+        state.pop("_launch_plan", None)
+        return state
 
     def launch_config(self, env: dict[str, int]) -> LaunchConfig:
-        extents = [trip_count(loop, env) for loop in self._parallel_loops()]
+        extents = [bounds.trips(env) for bounds in self.launch_plan().loops]
         return self.distribution.resolve(extents)
 
     def work_profile(
@@ -167,13 +215,10 @@ class CompiledKernel:
         """Build the analytical workload description for a launch."""
         if self.elided:
             return WorkProfile(items=0, ops=OpCounts(), bytes_per_item=0.0)
-        elem_bytes = 4
-        for param in self.ir.array_params:
-            elem_bytes = max(elem_bytes, param.type.size_bytes)  # type: ignore[union-attr]
-
-        loops = self._parallel_loops()
-        if self.sequential or not loops:
-            ops = count_ops(self.ir.body, env)
+        plan = self.launch_plan()
+        elem_bytes = plan.elem_bytes
+        if self.sequential or not plan.loops:
+            ops = plan.body_ops().counts(env)
             bytes_total = (ops.loads + ops.stores) * elem_bytes
             return WorkProfile(
                 items=1,
@@ -185,14 +230,12 @@ class CompiledKernel:
 
         items = 1
         inner_env = dict(env)
-        for loop in loops:
-            extent = trip_count(loop, env)
+        for bounds in plan.loops:
+            extent = bounds.trips(env)
             items *= max(extent, 1)
             # representative mid-range value for triangular inner bounds
-            inner_env[loop.var] = max(extent // 2, 1)
-        innermost = loops[-1]
-        ops = count_ops(innermost.body, inner_env)
-        coal = coalescing_fraction(innermost.body, innermost.var)
+            inner_env[bounds.var] = max(extent // 2, 1)
+        ops = plan.inner_ops.counts(inner_env)
         bytes_per_item = (ops.loads + ops.stores) * elem_bytes * self.traffic_reuse
         # explicit Gang-mode work-item indexing defeats the Intel OpenCL
         # implicit vectorizer on MIC; compiler-generated (Gridify/auto)
@@ -204,9 +247,24 @@ class CompiledKernel:
             items=items,
             ops=ops,
             bytes_per_item=float(bytes_per_item),
-            coalesced_fraction=coal,
+            coalesced_fraction=plan.coalesced,
             working_set_bytes=working_set_bytes,
             vectorizable_fraction=vectorizable,
+        )
+
+    def host_profile(
+        self, env: dict[str, int], working_set_bytes: float
+    ) -> WorkProfile:
+        """The whole-kernel sequential profile used for host fallback."""
+        plan = self.launch_plan()
+        # an out-of-order host core predicts branches: no divergence penalty
+        ops = plan.body_ops().counts(env, divergent=False)
+        return WorkProfile(
+            items=1,
+            ops=ops,
+            bytes_per_item=float((ops.loads + ops.stores) * plan.elem_bytes),
+            coalesced_fraction=1.0,
+            working_set_bytes=working_set_bytes,
         )
 
     def ptx_mapping(self) -> ParallelMapping:

@@ -14,6 +14,15 @@ import math
 from dataclasses import dataclass
 
 
+def ppr(mic_elapsed_s: float, gpu_elapsed_s: float) -> float:
+    """Equation 1."""
+    if mic_elapsed_s < 0 or gpu_elapsed_s < 0:
+        raise ValueError("elapsed times must be non-negative")
+    if gpu_elapsed_s == 0:
+        return math.inf
+    return mic_elapsed_s / gpu_elapsed_s
+
+
 @dataclass(frozen=True)
 class PprEntry:
     """One bar of Figure 16."""
@@ -26,18 +35,7 @@ class PprEntry:
 
     @property
     def ppr(self) -> float:
-        if self.gpu_elapsed_s <= 0:
-            return math.inf
-        return self.mic_elapsed_s / self.gpu_elapsed_s
-
-
-def ppr(mic_elapsed_s: float, gpu_elapsed_s: float) -> float:
-    """Equation 1."""
-    if mic_elapsed_s < 0 or gpu_elapsed_s < 0:
-        raise ValueError("elapsed times must be non-negative")
-    if gpu_elapsed_s == 0:
-        return math.inf
-    return mic_elapsed_s / gpu_elapsed_s
+        return ppr(self.mic_elapsed_s, self.gpu_elapsed_s)
 
 
 @dataclass(frozen=True)
@@ -53,9 +51,7 @@ class MatrixPprEntry:
 
     @property
     def ppr(self) -> float:
-        if self.gpu_elapsed_s <= 0:
-            return math.inf
-        return self.mic_elapsed_s / self.gpu_elapsed_s
+        return ppr(self.mic_elapsed_s, self.gpu_elapsed_s)
 
 
 def format_ppr_matrix(entries: list[MatrixPprEntry]) -> str:

@@ -147,6 +147,9 @@ def lud_heatmap(
     zero recompilations), or ``jobs=N`` to fan this sweep's compiles over
     an ephemeral N-worker service.  Results are deterministic either way.
     """
+    for name, value in (("n", n), ("samples", samples)):
+        if value < 1:
+            raise ValueError(f"heat map {name} must be positive, got {value}")
     sample_is = [max(1, (n * (2 * s + 1)) // (2 * samples)) for s in range(samples)]
     target = "cuda" if device.kind.value == "gpu" else "opencl"
     if service is None:

@@ -12,7 +12,7 @@ from .executor import (
     kernel_python_source,
     set_default_backend,
 )
-from .launcher import Accelerator, LaunchRecord, RuntimeError_, kernel_host_profile
+from .launcher import Accelerator, LaunchRecord, RuntimeError_
 from .profiler import ProfileEvent, Profiler
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "compile_kernel_fn",
     "execute_kernel",
     "get_default_backend",
-    "kernel_host_profile",
     "kernel_python_source",
     "set_default_backend",
 ]

@@ -371,11 +371,14 @@ def run_exec_sweep(
     ``jobs`` values, cold and warm-persistent, with and without injected
     compile faults.
     """
+    sizes = dict(sizes or {"ge": 96, "lud": 128, "hydro": 96})
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} sweep size must be positive, got {size}")
     if service is None:
         from ..service.scheduler import CompileService
 
         service = CompileService()
-    sizes = dict(sizes or {"ge": 96, "lud": 128, "hydro": 96})
     with get_tracer().span("exec.sweep", category="exec", jobs=jobs,
                            backend=backend):
         tasks = _sweep_tasks(service, sizes, repeats)

@@ -608,25 +608,32 @@ class CompileService:
     def _run_job(self, request: CompileRequest, future: Future,
                  parent=None, queued_at: float = 0.0) -> None:
         tracer = get_tracer()
-        with tracer.span(
-            "service.job", category="service", parent=parent,
-            label=request.label or request.module.name,
-        ) as span:
-            if tracer.enabled:
-                # queue wait: submit() stamped the enqueue time
-                span.set(queued_s=max(tracer.now_s() - queued_at, 0.0))
-            try:
-                result = self.compile_request(request)
-            except Exception as exc:
-                span.set(status="error")
-                future.set_exception(exc)
+        error: Exception | None = None
+        try:
+            with tracer.span(
+                "service.job", category="service", parent=parent,
+                label=request.label or request.module.name,
+            ) as span:
+                if tracer.enabled:
+                    # queue wait: submit() stamped the enqueue time
+                    span.set(queued_s=max(tracer.now_s() - queued_at, 0.0))
+                try:
+                    result = self.compile_request(request)
+                except Exception as exc:
+                    span.set(status="error")
+                    error = exc
+                else:
+                    span.set(status="done")
+            # resolve only once the span is closed: a caller woken by the
+            # future must find every job span of its sweep finished
+            if error is not None:
+                future.set_exception(error)
             else:
-                span.set(status="done")
                 future.set_result(result)
-            finally:
-                with self._lock:
-                    if self._inflight.get(request.fingerprint) is future:
-                        del self._inflight[request.fingerprint]
+        finally:
+            with self._lock:
+                if self._inflight.get(request.fingerprint) is future:
+                    del self._inflight[request.fingerprint]
 
     def _gather(self, request: CompileRequest, future: Future,
                 strict: bool) -> Any:

@@ -1,6 +1,7 @@
 """Tests for op counting, stride classification, and trip counts."""
 
 from repro.analysis.patterns import (
+    OpCountPlan,
     StrideKind,
     access_patterns,
     classify_access,
@@ -119,6 +120,40 @@ class TestCountOps:
     def test_division_counted(self):
         k = parse_kernel("void f(float *a) { a[0] = a[1] / a[2]; }")
         assert count_ops(k.body).flops_div == 1
+
+
+class TestOpCountPlan:
+    def test_triangular_nest_sees_the_outer_midpoint(self):
+        k = parse_kernel(
+            "void f(float *a, int n) { int i; int j; "
+            "for (i = 0; i < n; i++) for (j = i; j < n; j++) a[j] = 0.0f; }"
+        )
+        # the j loop runs from the midpoint i = 5: 10 x 5 stores
+        assert count_ops(k.body, {"n": 10}).stores == 50
+
+    def test_branch_around_a_loop_is_weighted_per_env(self):
+        k = parse_kernel(
+            "void f(float *a, int n) { int i; int j; "
+            "for (i = 0; i < n; i++) { if (i > 2) { "
+            "for (j = 0; j < n; j++) a[j] = 1.0f; } else a[i] = 2.0f; } }"
+        )
+        plan = OpCountPlan(k.body)
+        # both sides charged per i: n stores in the loop + 1 in the else
+        assert plan.counts({"n": 4}, divergent=True).stores == 4 * 5
+        assert plan.counts({"n": 4}, divergent=False).stores == 4 * 2
+        assert plan.counts({"n": 6}, divergent=True).stores == 6 * 7
+
+    def test_evaluation_leaves_no_state_behind(self):
+        k = parse_kernel(
+            "void f(float *a, int n, int t) { int i; int j; "
+            "for (i = t; i < n; i++) for (j = i; j < n; j++) "
+            "a[j] = a[j] + a[i]; }"
+        )
+        plan = OpCountPlan(k.body)
+        first = plan.counts({"n": 9, "t": 2})
+        plan.counts({"n": 300, "t": 7}, divergent=False)
+        assert plan.counts({"n": 9, "t": 2}) == first
+        assert OpCountPlan(k.body).counts({"n": 9, "t": 2}) == first
 
 
 class TestTripCount:

@@ -261,3 +261,23 @@ class TestUnusableInputFiles:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and str(path) in lines[0]
         assert captured.out == ""
+
+
+class TestUnusableOptionValues:
+    """A size option the sweep cannot use exits 2 with one line naming
+    the value — never a negative "best" time, an all-zero map, or a
+    traceback from generated kernel code."""
+
+    @pytest.mark.parametrize("argv, value", [
+        (["heatmap", "--size", "-500"], "-500"),
+        (["heatmap", "--size", "0"], "0"),
+        (["exec-sweep", "--size", "0"], "0"),
+        (["exec-sweep", "--size", "-3"], "-3"),
+    ])
+    def test_exits_2_with_one_line(self, capsys, argv, value):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert "--size" in lines[0] and lines[0].endswith(f" {value}")
+        assert captured.out == ""

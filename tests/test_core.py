@@ -107,3 +107,10 @@ class TestHeatMap:
 
     def test_best_worker_for(self, heatmap):
         assert heatmap.best_worker_for(256) in (1, 16, 64)
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"n": -500}, "n"), ({"n": 0}, "n"), ({"samples": 0}, "samples"),
+    ])
+    def test_rejects_non_positive_sizes(self, kwargs, named):
+        with pytest.raises(ValueError, match=f"{named} must be positive"):
+            lud_heatmap(get_benchmark("lud"), K40, "caps", **kwargs)

@@ -6,21 +6,31 @@
   the same result under parallel-snapshot execution as sequentially,
 * affine canonicalization agrees with direct evaluation,
 * the performance model obeys basic sanity (non-negative, more work is
-  never faster).
+  never meaningfully faster), on synthetic profiles and on every compiled
+  kernel of the Fig. 4 grid,
+* Equation 1 is one function: both PPR entry kinds agree with ``ppr()``.
 """
 
+import functools
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.affine import evaluate, linearize
 from repro.analysis.dependence import Verdict, analyze_loop
 from repro.analysis.patterns import OpCounts
+from repro.core.ppr import MatrixPprEntry, PprEntry, ppr
 from repro.devices.specs import K40, PHI_5110P
 from repro.frontend import parse_expr, parse_kernel
 from repro.ir import format_expr, print_kernel
 from repro.perf.model import LaunchConfig, WorkProfile, estimate_time
+from repro.runtime import Accelerator
 from repro.runtime.executor import ExecMode, LoopSemantics, execute_kernel
+from repro.server import fig4_requests
+from repro.service import CompileService
 from repro.transforms import tile_in_kernel, unroll_in_kernel
 
 # --------------------------------------------------------------------------
@@ -191,6 +201,23 @@ class TestKernelRoundTrip:
 # performance-model sanity
 # --------------------------------------------------------------------------
 
+#: the most a launch may speed up when given more work: extra resident
+#: threads hide memory latency better while a GPU is unsaturated
+LATENCY_HIDING_FLOOR = 0.85
+
+
+@functools.lru_cache(maxsize=None)
+def _fig4_grid(device: str):
+    """The 72 compiled Fig. 4 grid points: CAPS/CUDA for the K40 ("gpu"),
+    CAPS/OpenCL for the 5110P ("mic")."""
+    target = {"gpu": "cuda", "mic": "opencl"}[device]
+    service = CompileService()
+    try:
+        return service.sweep(fig4_requests(target=target))
+    finally:
+        service.close()
+
+
 class TestModelProperties:
     @given(
         items=st.integers(min_value=0, max_value=1 << 22),
@@ -232,7 +259,36 @@ class TestModelProperties:
         large = WorkProfile(items=items * scale, ops=ops, bytes_per_item=12)
         config = LaunchConfig(grid=(64, 1, 1), block=(128, 1, 1))
         assert (estimate_time(K40, config, large).total_s
-                >= estimate_time(K40, config, small).total_s * 0.85)
+                >= estimate_time(K40, config, small).total_s
+                * LATENCY_HIDING_FLOOR)
+
+    @given(
+        point=st.integers(min_value=0, max_value=71),
+        kernel=st.integers(min_value=0, max_value=1),
+        device=st.sampled_from(["gpu", "mic"]),
+        sizes=st.lists(st.integers(min_value=16, max_value=4096),
+                       min_size=2, max_size=2).map(sorted),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fig4_launches_nonnegative_finite_and_grow_with_size(
+            self, point, kernel, device, sizes):
+        """Every compiled kernel of the Fig. 4 grid, launched at
+        ``i = size // 2``: modeled seconds are >= 0 and finite, and a
+        larger problem is never meaningfully faster.  On the K40 it can
+        be slightly faster: while the launch is latency-bound (fewer
+        items than gang x worker threads), time goes as per-item cycles
+        over resident threads, and at ``i = size // 2`` both grow with
+        ``size`` — lud_row at gang 16 sheds up to 0.6% between sizes."""
+        spec = {"gpu": K40, "mic": PHI_5110P}[device]
+        compiled = _fig4_grid(device)[point].kernels[kernel]
+        seconds = []
+        for size in sizes:
+            accelerator = Accelerator(spec)
+            accelerator.declare(a=size * size * 4)
+            record = accelerator.launch(compiled, size=size, i=size // 2)
+            assert record.seconds >= 0 and math.isfinite(record.seconds)
+            seconds.append(record.seconds)
+        assert seconds[1] >= seconds[0] * LATENCY_HIDING_FLOOR
 
     @given(
         items=st.integers(min_value=1, max_value=1 << 20),
@@ -251,11 +307,35 @@ class TestModelProperties:
                 >= estimate_time(K40, config, small).total_s * 0.999)
 
 
+class TestEquationOne:
+    @given(
+        mic=st.floats(min_value=1e-9, max_value=1e6),
+        gpu=st.floats(min_value=1e-9, max_value=1e6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_entries_agree_with_ppr(self, mic, gpu):
+        expected = ppr(mic, gpu)
+        assert math.isfinite(expected) and expected > 0
+        assert PprEntry("x", "lud", "openacc", mic, gpu).ppr == expected
+        assert MatrixPprEntry("stencil", 2, mic, gpu).ppr == expected
+
+    @given(
+        times=st.tuples(st.floats(min_value=-1e6, max_value=1e6),
+                        st.floats(min_value=-1e6, max_value=1e6)
+                        ).filter(lambda t: min(t) < 0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_entries_reject_negative_times(self, times):
+        mic, gpu = times
+        with pytest.raises(ValueError):
+            PprEntry("x", "lud", "openacc", mic, gpu).ppr
+        with pytest.raises(ValueError):
+            MatrixPprEntry("stencil", 2, mic, gpu).ppr
+
+
 # --------------------------------------------------------------------------
 # the fixed difftest corpus: 50 seeds pinned as a standing correctness gate
 # --------------------------------------------------------------------------
-
-import pytest
 
 from repro.difftest import generate_case, run_difftest
 from repro.frontend import parse_module

@@ -143,6 +143,12 @@ class TestSweepDeterminism:
                  for span in tracer.spans_named("exec.task")}
         assert lanes == {"worker:0", "worker:1"}
 
+    @pytest.mark.parametrize("size", [0, -8])
+    def test_rejects_non_positive_sizes(self, size):
+        with pytest.raises(ValueError, match=f"lud sweep size must be "
+                                             f"positive, got {size}"):
+            run_exec_sweep(jobs=1, sizes={**SIZES, "lud": size})
+
     def test_repeats_extend_task_list(self):
         result = run_exec_sweep(jobs=1, sizes=SIZES, repeats=2)
         labels = result["tasks"]

@@ -1,6 +1,7 @@
 """Telemetry wired through the real pipeline: scheduler lanes, CLI."""
 
 import json
+import time
 
 import pytest
 
@@ -40,6 +41,25 @@ class TestTracedSweep:
         worker_names = {j.thread_name for j in jobs}
         assert all(name.startswith("repro-compile") for name in worker_names)
         assert sweep.thread_name == "MainThread"
+
+    def test_job_spans_are_finished_when_the_sweep_returns(self,
+                                                          monkeypatch):
+        tracer = configure_tracer(enabled=True)
+        finish = tracer.finish
+
+        def slow_finish(span, token=None):
+            if span.name == "service.job":
+                time.sleep(0.05)  # a worker descheduled at span close
+            finish(span, token)
+
+        monkeypatch.setattr(tracer, "finish", slow_finish)
+        service = CompileService(jobs=2)
+        try:
+            service.sweep(lud_requests(4))
+            # read before close(), which waits for the workers
+            assert len(tracer.spans_named("service.job")) == 4
+        finally:
+            service.close()
 
     def test_cache_hits_and_misses_distinguishable(self):
         tracer = configure_tracer(enabled=True)
