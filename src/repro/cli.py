@@ -61,7 +61,8 @@ class _InputError(Exception):
 
 
 def _require_positive(option: str, value: int | None) -> None:
-    """A size option below 1 is a usage error naming the value."""
+    """A size or count option below 1 is a usage error naming the
+    value."""
     if value is not None and value < 1:
         raise _InputError(f"{option} must be positive, got {value}")
 
@@ -84,6 +85,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     from .core.method import compile_stage
     from .frontend import parse_module
 
+    _require_positive("--size", args.size)
     source = _read_input(args.file)
     module = parse_module(source, Path(args.file).stem)
     compiled = compile_stage(module, args.compiler, args.target)
@@ -131,6 +133,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .kernels import get_benchmark
     from .telemetry import get_tracer
 
+    _require_positive("--size", args.size)
     bench = get_benchmark(args.name)
     n = args.size or min(bench.meta.paper_size, 1 << 20)
     device = device_by_name(args.device)
@@ -155,6 +158,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     from .devices.topology import NVLINK_LINK
     from .kernels import MATRIX_FAMILIES
 
+    _require_positive("--size", args.size)
     families = (tuple(part.strip() for part in args.families.split(",")
                       if part.strip())
                 if args.families else MATRIX_FAMILIES)
@@ -302,6 +306,7 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     from .service import CompileService
     from .service.cache import ArtifactCache
 
+    _require_positive("--size", args.size)
     bench = get_benchmark("lud")
     ladder = normalize_ladder(args.ladder)
     # tuners always share one service: the exhaustive sweep, the hill
@@ -575,6 +580,7 @@ def _cmd_exec_sweep(args: argparse.Namespace) -> int:
     from .telemetry import get_registry
 
     _require_positive("--size", args.size)
+    _require_positive("--repeats", args.repeats)
     service = _service_from_args(args)
     sizes = None
     if args.size is not None:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 
@@ -159,6 +160,8 @@ def run_tasks(
     tasks: list[ExecTask],
     jobs: int = 1,
     backend: str | None = None,
+    *,
+    first_index: int = 0,
 ) -> list[dict[str, np.ndarray]]:
     """Execute *tasks* with *jobs* worker processes; return each task's
     array buffers after execution, in task order.
@@ -166,6 +169,9 @@ def run_tasks(
     ``jobs <= 1`` runs inline (no processes) through the identical
     pre-warm/copy/merge path, so the two modes produce byte-identical
     buffers and identical ``executor.*`` counter totals.
+    *first_index* is the position of ``tasks[0]`` in a longer sweep
+    that is run a slice at a time; it only numbers the ``exec.task``
+    spans.
     """
     if not tasks:
         return []
@@ -187,7 +193,7 @@ def run_tasks(
         or "fork" not in multiprocessing.get_all_start_methods()
     ):
         results: list[dict[str, np.ndarray]] = []
-        for index, task in enumerate(tasks):
+        for index, task in enumerate(tasks, first_index):
             args: dict[str, object] = dict(_scalar_args(task))
             buffers = {
                 name: value.copy()
@@ -285,7 +291,8 @@ def run_tasks(
                 registry.counter(name).inc(delta)
             tracer.record_span(
                 "exec.task", result.seconds, category="exec",
-                lane=f"worker:{index % jobs}", task=task.label, index=index,
+                lane=f"worker:{index % jobs}", task=task.label,
+                index=first_index + index,
             )
             registry.counter("executor.pool_tasks").inc()
 
@@ -311,15 +318,40 @@ def _resolved_backend() -> str:
 # -- the execution-heavy sweep driver ----------------------------------------
 
 
-def sweep_digest(results: list[dict[str, np.ndarray]]) -> str:
+def sweep_digest(results: Iterable[dict[str, np.ndarray]]) -> str:
     """Order-sensitive SHA-256 over every result buffer (byte-identity
-    across ``jobs`` settings is asserted on this digest)."""
+    across ``jobs`` settings is asserted on this digest).
+
+    *results* may be a generator: each task's buffers are hashed in
+    place and dropped before the next task is drawn, so a streamed
+    sweep never holds two tasks' buffers at once.
+    """
     digest = hashlib.sha256()
     for buffers in results:
         for name in sorted(buffers):
             digest.update(name.encode())
-            digest.update(buffers[name].tobytes())
+            # a C-contiguous array hashes through the buffer protocol:
+            # the same bytes as tobytes(), without the copy
+            digest.update(np.ascontiguousarray(buffers[name]))
+        del buffers  # release before the generator runs the next task
     return digest.hexdigest()
+
+
+def _streamed(
+    tasks: list[ExecTask],
+    backend: str,
+    elapsed: list[float],
+) -> Iterator[dict[str, np.ndarray]]:
+    """Run *tasks* inline one at a time, yielding each task's buffers
+    as soon as it finishes; ``elapsed[0]`` accumulates the time spent
+    inside :func:`run_tasks` (execution only, not the consumer's
+    hashing)."""
+    for index, task in enumerate(tasks):
+        start = time.perf_counter()
+        (buffers,) = run_tasks([task], backend=backend, first_index=index)
+        elapsed[0] += time.perf_counter() - start
+        yield buffers
+        del buffers  # the consumer has hashed them; free before the next copy
 
 
 def _sweep_tasks(service, sizes: dict[str, int], repeats: int) -> list[ExecTask]:
@@ -369,8 +401,13 @@ def run_exec_sweep(
     Returns a summary with a deterministic ``digest`` over all result
     buffers — the determinism suite asserts digest equality across
     ``jobs`` values, cold and warm-persistent, with and without injected
-    compile faults.
+    compile faults.  With ``jobs <= 1`` the sweep is streamed: each
+    task's buffers are hashed and released before the next task runs,
+    so at most one task's buffers are alive.  ``seconds`` is execution
+    time only (inside :func:`run_tasks`), never the hashing.
     """
+    if repeats < 1:
+        raise ValueError(f"sweep repeats must be positive, got {repeats}")
     sizes = dict(sizes or {"ge": 96, "lud": 128, "hydro": 96})
     for name, size in sizes.items():
         if size < 1:
@@ -382,14 +419,22 @@ def run_exec_sweep(
     with get_tracer().span("exec.sweep", category="exec", jobs=jobs,
                            backend=backend):
         tasks = _sweep_tasks(service, sizes, repeats)
-        start = time.perf_counter()
-        results = run_tasks(tasks, jobs=jobs, backend=backend)
-        seconds = time.perf_counter() - start
+        if jobs <= 1:
+            # streamed: hash and release each task's buffers before the
+            # next task copies its inputs
+            elapsed = [0.0]
+            digest = sweep_digest(_streamed(tasks, backend, elapsed))
+            seconds = elapsed[0]
+        else:
+            start = time.perf_counter()
+            results = run_tasks(tasks, jobs=jobs, backend=backend)
+            seconds = time.perf_counter() - start
+            digest = sweep_digest(results)
     return {
         "tasks": [task.label for task in tasks],
         "jobs": jobs,
         "backend": backend,
         "sizes": sizes,
         "seconds": seconds,
-        "digest": sweep_digest(results),
+        "digest": digest,
     }

@@ -209,6 +209,18 @@ def _vimod(a, b):
     return a - _vidiv(a, b) * b
 
 
+def _lanes(x, n):
+    """*x* as one value per lane: an ``(n,)`` array as is, anything
+    else broadcast to the lane axis (a read-only view)."""
+    if isinstance(x, np.ndarray) and x.shape == (n,):
+        return x
+    return np.broadcast_to(np.asarray(x), (n,))
+
+
+def _is_scalar(x) -> bool:
+    return not isinstance(x, np.ndarray) or x.ndim == 0
+
+
 def _vstore(arr, idx, val, mask, n):
     """Masked scatter with the scalar loop's write order.
 
@@ -217,20 +229,24 @@ def _vstore(arr, idx, val, mask, n):
     snapshot-semantics loop produces.  A tuple *idx* is a rank > 1
     subscript: each dimension broadcasts to the lane axis and the store
     goes through multi-dimensional fancy indexing.
+
+    A scalar value stored to a scalar subscript writes the same cell
+    with the same value in every live lane, so it is written once, and
+    only if a lane is live.  It goes through ``np.asarray`` so the cast
+    is the array-assignment one the scatter uses (an out-of-range Python
+    int wraps instead of raising).
     """
-    val = np.broadcast_to(np.asarray(val), (n,))
-    if isinstance(idx, tuple):
-        dims = [np.broadcast_to(np.asarray(i), (n,)) for i in idx]
-        if mask is not None:
-            dims = [d[mask] for d in dims]
-            val = val[mask]
-        arr[tuple(dims)] = val
+    dims = idx if isinstance(idx, tuple) else (idx,)
+    if _is_scalar(val) and all(_is_scalar(d) for d in dims):
+        if n and (mask is None or mask.any()):
+            arr[idx] = np.asarray(val)
         return
-    idx = np.broadcast_to(np.asarray(idx), (n,))
+    val = _lanes(val, n)
+    dims = [_lanes(d, n) for d in dims]
     if mask is not None:
-        idx = idx[mask]
+        dims = [d[mask] for d in dims]
         val = val[mask]
-    arr[idx] = val
+    arr[tuple(dims)] = val
 
 
 def _vstore_multi(arr, writes, n):

@@ -264,20 +264,33 @@ class TestUnusableInputFiles:
 
 
 class TestUnusableOptionValues:
-    """A size option the sweep cannot use exits 2 with one line naming
-    the value — never a negative "best" time, an all-zero map, or a
-    traceback from generated kernel code."""
+    """A size or count option the command cannot use exits 2 with one
+    line naming the value — never a negative "best" time, an all-zero
+    map, a silently substituted default, or a traceback from generated
+    kernel code."""
 
     @pytest.mark.parametrize("argv, value", [
         (["heatmap", "--size", "-500"], "-500"),
         (["heatmap", "--size", "0"], "0"),
         (["exec-sweep", "--size", "0"], "0"),
         (["exec-sweep", "--size", "-3"], "-3"),
+        (["exec-sweep", "--repeats", "0"], "0"),
+        (["exec-sweep", "--repeats", "-2"], "-2"),
+        (["compile", "FILE", "--size", "0"], "0"),
+        (["compile", "FILE", "--size", "-1"], "-1"),
+        (["bench", "lud", "--size", "0"], "0"),
+        (["bench", "ge", "--size", "-4"], "-4"),
+        (["autotune", "--size", "-5"], "-5"),
+        (["autotune", "--size", "0"], "0"),
+        (["matrix", "--size", "0"], "0"),
+        (["matrix", "--size", "-8"], "-8"),
     ])
-    def test_exits_2_with_one_line(self, capsys, argv, value):
+    def test_exits_2_with_one_line(self, capsys, demo_file, argv, value):
+        option = argv[argv.index(value) - 1]
+        argv = [demo_file if arg == "FILE" else arg for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1
-        assert "--size" in lines[0] and lines[0].endswith(f" {value}")
+        assert option in lines[0] and lines[0].endswith(f" {value}")
         assert captured.out == ""
