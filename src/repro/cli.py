@@ -23,9 +23,9 @@ Commands:
 * ``jit-stats``      — specialize a ``$hole`` template for given shapes;
   print shape classes, plans, and the cache trajectory (docs/JIT.md).
 * ``exec-sweep``     — run the execution-heavy GE/LUD/Hydro kernel sweep
-  through the process-pool executor (docs/EXECUTOR.md); ``--exec-jobs N``
-  forks N workers over shared-memory buffers, ``--cache-dir`` persists
-  compiled kernel plans so warm runs skip codegen entirely.
+  in this process through the kernel executor (docs/EXECUTOR.md);
+  ``--cache-dir`` persists compiled kernel plans so warm runs skip
+  codegen entirely.
 
 ``heatmap`` and ``autotune`` accept ``--ladder RUNGS`` to climb the
 registered optimization rungs (``fuse-reuse``, ``shared-tile``; see
@@ -586,8 +586,7 @@ def _cmd_exec_sweep(args: argparse.Namespace) -> int:
     if args.size is not None:
         sizes = {"ge": args.size, "lud": args.size, "hydro": args.size}
     result = run_exec_sweep(
-        service=service, jobs=args.exec_jobs,
-        backend=args.exec_backend or "vector",
+        service=service, backend=args.exec_backend or "vector",
         sizes=sizes, repeats=args.repeats,
     )
     counters = {
@@ -599,7 +598,6 @@ def _cmd_exec_sweep(args: argparse.Namespace) -> int:
         "backend": result["backend"],
         "counters": counters,
         "digest": result["digest"],
-        "jobs": result["jobs"],
         "sizes": result["sizes"],
         "tasks": result["tasks"],
     }
@@ -671,12 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="kernel executor backend: scalar interpreter, vectorizing "
                  "NumPy backend, or check (run both, assert bit-identical; "
                  "docs/EXECUTOR.md); default scalar",
-        )
-        p.add_argument(
-            "--exec-jobs", type=int, default=1, metavar="N",
-            help="execute kernels across N forked worker processes over "
-                 "shared-memory buffers; results are byte-identical to "
-                 "--exec-jobs 1 (docs/EXECUTOR.md)",
         )
 
     def add_trace_flags(p: argparse.ArgumentParser) -> None:
@@ -811,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "exec-sweep",
         help="run the execution-heavy GE/LUD/Hydro kernel sweep through "
-             "the process-pool executor (docs/EXECUTOR.md)",
+             "the kernel executor (docs/EXECUTOR.md)",
     )
     p.add_argument("--size", type=int, default=None, metavar="N",
                    help="problem size for every benchmark in the sweep "

@@ -28,6 +28,7 @@ the matrix determinism tests pin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..analysis.affine import linearize
@@ -74,7 +75,7 @@ class HaloBreakdown:
 def pack_seconds(topology: DeviceTopology, nbytes: float) -> float:
     """One strided staging copy (read + write) on the device."""
     if nbytes < 0:
-        raise ValueError("nbytes must be non-negative")
+        raise ValueError(f"nbytes must be non-negative, got {nbytes}")
     if topology.count == 1:
         return 0.0
     effective_bw = topology.device.peak_bw_gbps * 1e9 * PACK_EFFICIENCY
@@ -87,7 +88,16 @@ def halo_cost(
     compute_s: float = 0.0,
     overlap: bool = False,
 ) -> HaloBreakdown:
-    """The per-step halo bill of the busiest device in *topology*."""
+    """The per-step halo bill of the busiest device in *topology*.
+
+    *compute_s* must be finite and non-negative: a negative compute
+    time would expose more transfer than was sent, and NaN would hide
+    all of it.
+    """
+    if not (math.isfinite(compute_s) and compute_s >= 0):
+        raise ValueError(
+            f"compute_s must be finite and non-negative, got {compute_s}"
+        )
     return HaloBreakdown(
         pack_s=pack_seconds(topology, nbytes),
         transfer_s=topology.exchange_seconds(nbytes),

@@ -196,23 +196,22 @@ class TestExecSweep:
         configure_plan_cache(None)
         reset_registry()
 
-    def test_digest_stable_across_exec_jobs(self, capsys):
+    def test_digest_matches_direct_sweep(self, capsys):
         import json
 
         from repro.runtime.executor import clear_kernel_cache
+        from repro.runtime.parallel import run_exec_sweep
         from repro.telemetry import reset_registry
 
-        digests = []
-        for jobs in ("1", "2"):
-            clear_kernel_cache()
-            reset_registry()
-            assert main(["exec-sweep", "--size", "48",
-                         "--exec-jobs", jobs]) == 0
-            payload = json.loads(capsys.readouterr().out)
-            digests.append(payload["digest"])
-            assert payload["jobs"] == int(jobs)
-            assert payload["counters"]["executor.pool_tasks"] == 6
-        assert digests[0] == digests[1]
+        assert main(["exec-sweep", "--size", "48"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "jobs" not in payload
+        assert payload["counters"]["executor.pool_tasks"] == 6
+
+        clear_kernel_cache()
+        reset_registry()
+        direct = run_exec_sweep(sizes={"ge": 48, "lud": 48, "hydro": 48})
+        assert payload["digest"] == direct["digest"]
 
     def test_cache_dir_persists_plans(self, tmp_path, capsys):
         import json
@@ -293,4 +292,26 @@ class TestUnusableOptionValues:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1
         assert option in lines[0] and lines[0].endswith(f" {value}")
+        assert captured.out == ""
+
+    #: the worker-count flag of the deleted process pool
+    REMOVED_FLAG = "--exec-jobs"
+
+    @pytest.mark.parametrize("argv", [
+        ["heatmap"],
+        ["bench", "lud"],
+        ["experiment", "fig4"],
+        ["autotune"],
+        ["difftest"],
+        ["exec-sweep"],
+    ])
+    def test_removed_worker_flag_exits_2(self, capsys, argv):
+        # the sweep runs in one process; the flag is now an unknown
+        # option everywhere, not a silently ignored one
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, self.REMOVED_FLAG, "4"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        last = captured.err.strip().splitlines()[-1]
+        assert last.endswith(f"unrecognized arguments: {self.REMOVED_FLAG} 4")
         assert captured.out == ""

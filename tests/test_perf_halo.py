@@ -1,9 +1,13 @@
 """Halo cost-model unit tests: breakdown arithmetic, the overlap proof
 per kernel family, and the telemetry lane plumbing."""
 
-import pytest
+import math
 
-from repro.devices import K40, DeviceTopology
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.devices import K40, NVLINK_LINK, PHI_5110P, DeviceTopology
 from repro.kernels import BENCHMARKS, get_benchmark
 from repro.perf.halo import (
     PACK_EFFICIENCY,
@@ -59,6 +63,43 @@ class TestBreakdownArithmetic:
         bd = HaloBreakdown(pack_s=1.0, transfer_s=5.0, unpack_s=1.0,
                            overlapped=True, compute_s=100.0)
         assert bd.exposed_s == pytest.approx(2.0)
+
+
+class TestComputeTime:
+    """``compute_s`` bounds how much transfer overlap can hide; a
+    negative or non-finite one is rejected, never silently believed."""
+
+    @pytest.mark.parametrize("compute_s", [-1.0, -1e-12, math.nan,
+                                           math.inf, -math.inf])
+    def test_bad_compute_time_rejected(self, compute_s):
+        with pytest.raises(ValueError, match=f"got {compute_s}$"):
+            halo_cost(DeviceTopology(K40, 2), 1e6, compute_s=compute_s,
+                      overlap=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        device=st.sampled_from([K40, PHI_5110P]),
+        count=st.integers(min_value=1, max_value=8),
+        peer=st.sampled_from([None, NVLINK_LINK]),
+        nbytes=st.floats(min_value=0.0, max_value=1e12),
+        compute_s=st.one_of(st.floats(min_value=0.0, max_value=1e3),
+                            st.floats()),
+        overlap=st.booleans(),
+    )
+    def test_exposed_never_exceeds_what_was_sent(
+        self, device, count, peer, nbytes, compute_s, overlap
+    ):
+        # whatever compute time halo_cost accepts, overlap can hide at
+        # most the whole transfer and never add to it
+        topology = DeviceTopology(device, count, peer=peer)
+        try:
+            bd = halo_cost(topology, nbytes, compute_s=compute_s,
+                           overlap=overlap)
+        except ValueError:
+            assert not (math.isfinite(compute_s) and compute_s >= 0)
+            return
+        assert 0.0 <= bd.exposed_transfer_s <= bd.transfer_s
+        assert bd.exposed_s <= bd.total_s
 
 
 class TestOverlapProof:
