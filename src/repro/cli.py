@@ -50,6 +50,7 @@ through :mod:`repro.telemetry` (see docs/TELEMETRY.md).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -65,6 +66,24 @@ def _require_positive(option: str, value: int | None) -> None:
     value."""
     if value is not None and value < 1:
         raise _InputError(f"{option} must be positive, got {value}")
+
+
+def _require_number(option: str, value: float, positive: bool) -> None:
+    """A rate or a duration must be a finite number, above zero if
+    *positive*, else at least zero; anything else is a usage error
+    naming the value."""
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        kind = "positive" if positive else "non-negative"
+        raise _InputError(f"{option} must be a finite {kind} number, "
+                          f"got {value:g}")
+
+
+def _require_port(value: int, ephemeral: bool) -> None:
+    """A TCP port out of range is a usage error naming it; 0 (an
+    ephemeral port) only where the command binds one."""
+    lowest = 0 if ephemeral else 1
+    if not lowest <= value <= 65535:
+        raise _InputError(f"--port must be in {lowest}..65535, got {value}")
 
 
 def _read_input(path: str,
@@ -377,6 +396,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .server import ReproServer, ServerConfig, run_server_smoke
     from .telemetry import get_registry, get_tracer
 
+    _require_port(args.port, ephemeral=True)
+    for option, value in (("--shards", args.shards),
+                          ("--queue-depth", args.queue_depth),
+                          ("--max-batch", args.max_batch),
+                          ("--clients", args.clients),
+                          ("--points", args.points)):
+        _require_positive(option, value)
+    _require_number("--quota-rate", args.quota_rate, positive=True)
+    _require_number("--quota-burst", args.quota_burst, positive=True)
+    _require_number("--batch-window", args.batch_window, positive=False)
     config = ServerConfig(
         host=args.host, port=args.port, jobs=args.jobs,
         cache_dir=args.cache_dir, shards=args.shards,
@@ -437,6 +466,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
     from .server import artifact_signature, fig4_requests
     from .service import JobError
 
+    _require_port(args.port, ephemeral=False)
+    _require_positive("--points", getattr(args, "points", None))
     try:
         connection = _client_connection(args)
     except ConnectionError as exc:

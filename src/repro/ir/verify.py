@@ -224,25 +224,38 @@ def _expr_uses(
     out: list[VerifyFailure],
     where: str,
 ) -> None:
-    for name in sorted(free_vars(expr)):
-        if name not in defined:
-            out.append(
-                VerifyFailure(
-                    "def-before-use",
-                    kernel.name,
-                    f"scalar {name!r} used {where} before any definition",
-                )
-            )
-    for node in expr.walk():
+    # one iterative pre-order walk collects both the scalar names and
+    # the unknown array references (in walk order)
+    scalars: set[str] = set()
+    unknown_arrays: list[str] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            scalars.add(node.name)
+            continue  # a leaf
         if isinstance(node, ArrayRef) and node.name not in arrays:
-            out.append(
-                VerifyFailure(
-                    "known-arrays",
-                    kernel.name,
-                    f"array {node.name!r} referenced {where} is not an "
-                    "array parameter",
-                )
+            unknown_arrays.append(node.name)
+        children = tuple(node.children())
+        if children:
+            stack.extend(reversed(children))
+    for name in sorted(scalars - defined):
+        out.append(
+            VerifyFailure(
+                "def-before-use",
+                kernel.name,
+                f"scalar {name!r} used {where} before any definition",
             )
+        )
+    for name in unknown_arrays:
+        out.append(
+            VerifyFailure(
+                "known-arrays",
+                kernel.name,
+                f"array {name!r} referenced {where} is not an "
+                "array parameter",
+            )
+        )
 
 
 def _check_def_before_use(kernel: KernelFunction) -> list[VerifyFailure]:

@@ -62,7 +62,7 @@ class BatchTicket:
     def wait(self, timeout_s: float | None = None) -> Any:
         if not self._done.wait(timeout_s):
             return JobError(
-                self.request.label or self.request.module.name,
+                self.request.tag,
                 self.fingerprint, "timeout",
                 f"server result not ready within {timeout_s:g}s",
                 timeout_s or 0.0,
@@ -120,7 +120,7 @@ class CoalescingBatcher:
                 if tracer.enabled:
                     tracer.record_span(
                         "server.coalesce", 0.0, category="server",
-                        label=request.label or request.module.name,
+                        label=request.tag,
                         fingerprint=request.fingerprint[:12],
                         waiters=ticket.waiters,
                     )
@@ -178,7 +178,7 @@ class CoalescingBatcher:
                 results = self.service.sweep([t.request for t in batch])
             except Exception as exc:  # defensive: sweep slots errors itself
                 results = [
-                    JobError(t.request.label or t.request.module.name,
+                    JobError(t.request.tag,
                              t.fingerprint, "error", str(exc))
                     for t in batch
                 ]

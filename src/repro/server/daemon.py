@@ -21,7 +21,11 @@ answers 400 *on the same connection* and the connection stays up; an
 admission refusal answers 429/503 without queueing anything.  An
 admitted point the service cache already holds is answered on the
 connection thread itself (:meth:`CompileService.lookup`); only misses
-wait for the batcher.
+wait for the batcher.  A hit is keyed by the fingerprint of the wire
+source as sent and answered with the stored pickle bytes: no parse, no
+print, no unpickle and no re-pickle.  Only a point whose text key the
+cache does not hold is parsed (and then looked up again under its
+canonical fingerprint, so a non-canonical spelling still hits).
 
 Telemetry: every request runs inside a ``server.request`` span tagged
 ``client=<id>`` and ``lane=client:<id>`` — the Chrome/Perfetto export
@@ -45,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..service.cache import MISS, ShardedArtifactCache
+from ..service.fingerprint import CompileRequest
 from ..service.scheduler import CompileService
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.spans import get_tracer
@@ -262,18 +267,40 @@ class ReproServer:
 
     # -- op handlers -----------------------------------------------------------
 
+    def _point(self, payload: Any) -> protocol.WirePoint | CompileRequest:
+        """A validated compile point: the unparsed
+        :class:`~.protocol.WirePoint` when the cache holds its text key,
+        else the parsed request — so a source that does not parse is
+        refused (400) before admission, as is any malformed point."""
+        point = protocol.wire_point(payload)
+        if point.fingerprint in self.service.cache:
+            return point
+        return point.request()
+
+    def _answer(self, request: protocol.WirePoint | CompileRequest) -> Any:
+        """A hit's sweep slot now, or a miss's batch ticket."""
+        result = self.service.lookup(request)
+        if result is not MISS:
+            return result
+        if isinstance(request, protocol.WirePoint):
+            # evicted since _point peeked, or journaled: compile it
+            request = request.request()
+        return self.batcher.submit(request)
+
+    def _wait(self, answer: Any) -> Any:
+        if isinstance(answer, BatchTicket):
+            return answer.wait(self.config.result_timeout_s)
+        return answer
+
     def _handle_compile(self, request_id: Any, client: str,
                         message: dict[str, Any], span: Any) -> dict[str, Any]:
-        request = protocol.point_from_wire(message.get("point"))
+        request = self._point(message.get("point"))
         admission = self.admission.admit(client, 1)
         if not admission.allowed:
             span.set(status=f"rejected-{admission.reason}")
             return self._refusal(request_id, admission)
         try:
-            result = self.service.lookup(request)
-            if result is MISS:
-                result = self.batcher.submit(request).wait(
-                    self.config.result_timeout_s)
+            result = self._wait(self._answer(request))
         finally:
             self.admission.release(1)
         slot = protocol.slot_to_wire(result)
@@ -290,7 +317,7 @@ class ReproServer:
         points = message.get("points")
         if not isinstance(points, list) or not points:
             raise protocol.ProtocolError("'points' must be a non-empty list")
-        requests = [protocol.point_from_wire(p) for p in points]
+        requests = [self._point(p) for p in points]
         admission = self.admission.admit(client, len(requests))
         if not admission.allowed:
             span.set(status=f"rejected-{admission.reason}")
@@ -298,16 +325,8 @@ class ReproServer:
         try:
             # hits fill their slots now; misses go to the batcher as they
             # are found, so their compiles overlap the remaining lookups
-            answers: list[Any] = []
-            for request in requests:
-                result = self.service.lookup(request)
-                answers.append(self.batcher.submit(request)
-                               if result is MISS else result)
-            results = [
-                answer.wait(self.config.result_timeout_s)
-                if isinstance(answer, BatchTicket) else answer
-                for answer in answers
-            ]
+            answers = [self._answer(request) for request in requests]
+            results = [self._wait(answer) for answer in answers]
         finally:
             self.admission.release(len(requests))
         slots = [protocol.slot_to_wire(r) for r in results]

@@ -15,12 +15,14 @@ full or quota exhausted — the explicit-rejection contract of
 docs/SERVER.md), 503 while draining, 500 for a server bug.
 
 Modules travel as their canonical mini-C rendering
-(:func:`repro.ir.printer.print_module`) and are re-parsed server-side;
-the round trip is print-stable, so the server-side fingerprint equals
-the client-side one and the determinism contract holds across the wire.
-Artifacts travel as base64-encoded pickles (the same serialization the
-disk cache tier already trusts — the daemon is an *intra-trust-domain*
-service; see the deployment notes in docs/SERVER.md).
+(:func:`repro.ir.printer.print_module`).  The server fingerprints that
+text as sent (:class:`WirePoint`) and re-parses it only when the cache
+does not already hold the key; the round trip is print-stable, so the
+server-side fingerprint equals the client-side one and the determinism
+contract holds across the wire.  Artifacts travel as base64-encoded
+pickles (the same serialization the disk cache tier already trusts —
+the daemon is an *intra-trust-domain* service; see the deployment notes
+in docs/SERVER.md).
 """
 
 from __future__ import annotations
@@ -28,14 +30,15 @@ from __future__ import annotations
 import base64
 import json
 import pickle
-from dataclasses import dataclass
 from typing import Any
 
 from ..compilers.flags import FlagSet
 from ..devices import device_by_name
+from ..devices.specs import DeviceSpec
 from ..frontend import parse_module
 from ..ir.printer import print_module
-from ..service.fingerprint import CompileRequest
+from ..ir.stmt import Module
+from ..service.fingerprint import CompileRequest, fingerprint_source
 
 PROTOCOL = "repro-server-v1"
 
@@ -143,17 +146,52 @@ def raise_for_error(response: dict[str, Any]) -> dict[str, Any]:
 
 # -- compile points on the wire ------------------------------------------------
 
-@dataclass(frozen=True)
 class WirePoint:
-    """One compile point as it crosses the wire (pre-parse form)."""
+    """One validated compile point as it crosses the wire, not parsed.
 
-    source: str
-    name: str
-    compiler: str
-    target: str
-    flags: dict[str, Any] | None = None
-    device: str | None = None
-    label: str = ""
+    Its :attr:`fingerprint` is computed from the source text as sent;
+    for the canonical print :func:`point_to_wire` sends, that is the
+    parsed request's fingerprint.  It stands in for a
+    :class:`CompileRequest` in
+    :meth:`~repro.service.scheduler.CompileService.lookup`, and parses
+    its module only when something reads it.
+    """
+
+    def __init__(self, source: str, name: str, compiler: str, target: str,
+                 flags: FlagSet | None, device: DeviceSpec | None,
+                 label: str) -> None:
+        self.source = source
+        self.name = name
+        self.compiler = compiler
+        self.target = target
+        self.flags = flags
+        self.device = device
+        self.label = label
+        self.fingerprint = fingerprint_source(source, name, compiler, target,
+                                              flags, device)
+        self._module: Module | None = None
+
+    @property
+    def tag(self) -> str:
+        return self.label or self.name
+
+    @property
+    def module(self) -> Module:
+        """The parsed source (raises :class:`ProtocolError` if it does
+        not parse)."""
+        if self._module is None:
+            try:
+                self._module = parse_module(self.source, self.name)
+            except Exception as exc:
+                raise ProtocolError(f"source does not parse: {exc}") \
+                    from None
+        return self._module
+
+    def request(self) -> CompileRequest:
+        """The parsed :class:`CompileRequest` (its fingerprint is taken
+        from the canonical print, whatever the source's spelling)."""
+        return CompileRequest(self.module, self.compiler, self.target,
+                              self.flags, self.device, self.label)
 
 
 def flags_to_wire(flags: FlagSet | None) -> dict[str, Any] | None:
@@ -198,10 +236,9 @@ def point_to_wire(request: CompileRequest) -> dict[str, Any]:
     }
 
 
-def point_from_wire(payload: dict[str, Any]) -> CompileRequest:
-    """Rebuild a :class:`CompileRequest` from its wire form (parses the
-    canonical source).  Raises :class:`ProtocolError` on a malformed
-    payload — including source that does not parse."""
+def wire_point(payload: dict[str, Any]) -> WirePoint:
+    """Validate a compile point's wire form without parsing its source.
+    Raises :class:`ProtocolError` on a malformed payload."""
     if not isinstance(payload, dict):
         raise ProtocolError(f"compile point must be an object, "
                             f"got {type(payload).__name__}")
@@ -211,10 +248,6 @@ def point_from_wire(payload: dict[str, Any]) -> CompileRequest:
     name = payload.get("name") or "module"
     if not isinstance(name, str):
         raise ProtocolError("'name' must be a string")
-    try:
-        module = parse_module(payload["source"], name)
-    except Exception as exc:
-        raise ProtocolError(f"source does not parse: {exc}") from None
     device = None
     if payload.get("device") is not None:
         try:
@@ -222,14 +255,22 @@ def point_from_wire(payload: dict[str, Any]) -> CompileRequest:
         except Exception as exc:
             raise ProtocolError(f"unknown device {payload['device']!r}: "
                                 f"{exc}") from None
-    return CompileRequest(
-        module,
+    return WirePoint(
+        payload["source"],
+        name,
         payload["compiler"],
         payload["target"],
         flags_from_wire(payload.get("flags")),
         device,
         str(payload.get("label", "")),
     )
+
+
+def point_from_wire(payload: dict[str, Any]) -> CompileRequest:
+    """Rebuild a :class:`CompileRequest` from its wire form (parses the
+    source).  Raises :class:`ProtocolError` on a malformed payload —
+    including source that does not parse."""
+    return wire_point(payload).request()
 
 
 # -- artifacts on the wire -----------------------------------------------------
@@ -250,9 +291,14 @@ def unpack_artifact(packed: str) -> Any:
 
 
 def slot_to_wire(result: Any) -> dict[str, Any]:
-    """One sweep slot (artifact or JobError) as a wire dict."""
-    from ..service.scheduler import JobError
+    """One sweep slot (artifact or JobError) as a wire dict.  A cache
+    hit's :class:`~repro.service.scheduler.PickledArtifact` is sent as
+    the bytes the cache stored, without a pickle round trip."""
+    from ..service.scheduler import JobError, PickledArtifact
 
+    if isinstance(result, PickledArtifact):
+        return {"status": "ok",
+                "artifact": base64.b64encode(result.blob).decode("ascii")}
     if isinstance(result, JobError):
         return {
             "status": "error",

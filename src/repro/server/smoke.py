@@ -7,13 +7,16 @@ server-smoke step, and the server benchmark) runs:
 2. sweep them through a plain in-process
    :class:`~repro.service.scheduler.CompileService` — the ground truth;
 3. start a real daemon on an ephemeral port and drive the *same* sweep
-   from C concurrent clients over real sockets;
+   from C concurrent clients over real sockets, started together;
 4. assert every client's every slot is **byte-identical** to the
    in-process result (canonical artifact signature: compiler log + PTX
    rendering — the same identity the difftest and resilience gates use);
 5. assert cross-client **coalescing** actually fired and **no** request
    was rejected;
-6. probe **admission control** against a deliberately tiny daemon and
+6. re-sweep every point from one client: the **warm** round must be all
+   cache hits — answered from the stored bytes — with no compile, and
+   byte-identical too;
+7. probe **admission control** against a deliberately tiny daemon and
    assert the oversized sweep is *rejected* (429), not queued or hung.
 
 The determinism contract makes (4) a strict equality, not a tolerance:
@@ -75,12 +78,17 @@ class SmokeReport:
     compiles: int = 0
     rejected: int = 0
     rejection_probe_ok: bool = False
+    warm_hits: int = 0
+    warm_compiles: int = 0
+    warm_identical: bool = False
     client_errors: list[str] = field(default_factory=list)
     stats: dict[str, Any] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return (self.identical and self.coalesced > 0 and self.rejected == 0
+                and self.warm_identical and self.warm_hits == self.points
+                and self.warm_compiles == 0
                 and self.rejection_probe_ok and not self.client_errors)
 
     def lines(self) -> list[str]:
@@ -95,6 +103,11 @@ class SmokeReport:
             (
                 f"  coalesced={self.coalesced} batches={self.batches} "
                 f"compiles={self.compiles} rejected={self.rejected}"
+            ),
+            (
+                f"  warm: {self.warm_hits}/{self.points} hits, "
+                f"{self.warm_compiles} compiles, "
+                f"byte-identical={'yes' if self.warm_identical else 'no'}"
             ),
             (
                 f"  admission probe: oversized sweep "
@@ -150,11 +163,15 @@ def run_server_smoke(
             host, port = server.address
             got: dict[str, list[str] | None] = {}
             errors: list[str] = []
+            # connected clients start together, so their misses overlap
+            # and coalesce rather than the late ones finding cache hits
+            start = threading.Barrier(clients)
 
             def drive(client_id: str) -> None:
                 try:
                     with ServerClient(host, port,
                                       client_id=client_id) as client:
+                        start.wait(timeout=60)
                         slots = client.sweep(requests)
                     got[client_id] = [artifact_signature(s) for s in slots]
                 except Exception as exc:
@@ -194,6 +211,16 @@ def run_server_smoke(
                 + int(admission["rejected_quota"])
                 + int(admission["rejected_draining"])
             )
+
+            before = server.service.metrics.snapshot()
+            with ServerClient(host, port, client_id="warm") as client:
+                warm = [artifact_signature(s)
+                        for s in client.sweep(requests)]
+            after = server.service.metrics.snapshot()
+            report.warm_hits = int(after["cache_hits"]
+                                   - before["cache_hits"])
+            report.warm_compiles = int(after["compiles"] - before["compiles"])
+            report.warm_identical = warm == expected
             report.stats = server.stats()
         finally:
             server.drain()

@@ -32,8 +32,8 @@ from .fingerprint import (
     COMPILER_VERSIONS,
     CompileRequest,
     canonical_flags,
-    fingerprint_parts,
     fingerprint_request,
+    fingerprint_source,
 )
 from .metrics import ServiceMetrics, percentile
 from .resilience import (
@@ -75,8 +75,8 @@ __all__ = [
     "SystemClock",
     "canonical_flags",
     "configure_default_service",
-    "fingerprint_parts",
     "fingerprint_request",
+    "fingerprint_source",
     "get_default_service",
     "percentile",
     "reset_default_service",

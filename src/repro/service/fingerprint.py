@@ -75,25 +75,36 @@ def canonical_device(device: DeviceSpec | None) -> str:
     return f"{device.name}|{device.kind.value}"
 
 
-def fingerprint_parts(
-    module: Module,
+def fingerprint_source(
+    source: str,
+    name: str,
     compiler: str,
     target: str,
     flags: FlagSet | None = None,
     device: DeviceSpec | None = None,
-) -> tuple[str, ...]:
-    """The ordered canonical fields the digest is computed over."""
+) -> str:
+    """SHA-256 hex digest of a request given as text: the module's
+    canonical print *source* and its *name*, plus the tool-chain fields.
+
+    This is the one list of fingerprinted fields.  The daemon calls it on
+    a wire point's source as sent, which for a canonical print is the
+    request's fingerprint without parsing or printing anything.
+    """
     compiler_key = compiler.lower()
     version = COMPILER_VERSIONS.get(compiler_key, "unversioned")
-    return (
+    digest = hashlib.sha256()
+    for part in (
         SCHEMA,
-        f"module={module.name}",
-        print_module(module),
+        f"module={name}",
+        source,
         f"compiler={compiler_key}:{version}",
         f"target={target.lower()}",
         "\x1f".join(canonical_flags(flags)),
         canonical_device(device),
-    )
+    ):
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\x00")  # unambiguous field separator
+    return digest.hexdigest()
 
 
 def fingerprint_kernel(kernel: KernelFunction) -> str:
@@ -119,11 +130,8 @@ def fingerprint_request(
     device: DeviceSpec | None = None,
 ) -> str:
     """SHA-256 hex digest content-addressing one compilation request."""
-    digest = hashlib.sha256()
-    for part in fingerprint_parts(module, compiler, target, flags, device):
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x00")  # unambiguous field separator
-    return digest.hexdigest()
+    return fingerprint_source(print_module(module), module.name, compiler,
+                              target, flags, device)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +166,12 @@ class CompileRequest:
         assert self._fingerprint is not None
         return self._fingerprint
 
+    @property
+    def tag(self) -> str:
+        """The name error reports and spans give this request: its label,
+        else its module's name."""
+        return self.label or self.module.name
+
     def describe(self) -> str:
-        tag = self.label or self.module.name
-        return f"{tag} [{self.compiler}->{self.target}] {self.fingerprint[:12]}"
+        return (f"{self.tag} [{self.compiler}->{self.target}] "
+                f"{self.fingerprint[:12]}")

@@ -59,9 +59,10 @@ class ServiceMetrics:
     def record_cache_hit(self, fingerprint: str) -> None:
         with self._lock:
             self.cache_hits += 1
-            self.time_saved_s += self._seconds_by_fp.get(
-                fingerprint, self._mean_compile_s()
-            )
+            # the mean is an O(compiles) sum: take it only when needed
+            seconds = self._seconds_by_fp.get(fingerprint)
+            self.time_saved_s += (seconds if seconds is not None
+                                  else self._mean_compile_s())
 
     def record_dedup_hit(self) -> None:
         with self._lock:

@@ -15,8 +15,8 @@ owns an :class:`ArtifactCache`, a :class:`ServiceMetrics`, and (when
   point yields a structured :class:`JobError` in its slot and the rest
   of the sweep completes.
 * :meth:`lookup` — the sweep slot of a point the cache already holds
-  (else :data:`~repro.service.cache.MISS`); the daemon's inline hit
-  path.
+  (else :data:`~repro.service.cache.MISS`), with a hit's artifact as
+  its stored pickle bytes; the daemon's inline hit path.
 
 Resilience (docs/FAULTS.md): the service survives the compiler
 fragility the paper documents — injected via :mod:`repro.faults` —
@@ -60,6 +60,7 @@ disk tier.
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -125,6 +126,24 @@ class _CachedFailure:
     *never* cached — they belong to a fault plan, not to the request."""
 
     error: Exception
+
+
+#: the class reference that opens every pickled :class:`_CachedFailure`
+#: after the pickle header (PROTO, 2 bytes, and FRAME, 9 bytes); no
+#: artifact's pickle opens with it, so a stored failure is recognised
+#: without unpickling anything
+_PICKLE_HEADER = 11
+_FAILURE_REF = pickle.dumps(
+    _CachedFailure, protocol=pickle.HIGHEST_PROTOCOL)[_PICKLE_HEADER:-1]
+
+
+@dataclass(frozen=True)
+class PickledArtifact:
+    """A cache hit's artifact as its stored pickle bytes (``pickle.dumps``
+    at the highest protocol): the slot :meth:`CompileService.lookup`
+    answers, so the daemon can send a hit without unpickling it."""
+
+    blob: bytes
 
 
 def _default_compile_fn(request: CompileRequest) -> Any:
@@ -197,20 +216,26 @@ class CompileService:
         return self._compile_request(request, attempt_base=0)
 
     def _compile_request(self, request: CompileRequest,
-                         attempt_base: int = 0) -> Any:
+                         attempt_base: int = 0, pickled: bool = False) -> Any:
+        """One request's artifact: from the cache (as a
+        :class:`PickledArtifact` if *pickled*), else compiled here."""
         fingerprint = request.fingerprint
         self.metrics.record_request()
         tracer = get_tracer()
         with tracer.span(
             "service.compile", category="service",
-            label=request.label or request.module.name,
+            label=request.tag,
             compiler=request.compiler, target=request.target,
             fingerprint=fingerprint[:12],
         ) as span:
-            cached = self._cache_get(fingerprint)
-            if cached is not MISS:
+            blob = self._cache_get(fingerprint)
+            if blob is not MISS:
                 self.metrics.record_cache_hit(fingerprint)
                 span.set(cache="hit")
+                if pickled and not blob.startswith(_FAILURE_REF,
+                                                   _PICKLE_HEADER):
+                    return PickledArtifact(blob)
+                cached = pickle.loads(blob)
                 if isinstance(cached, _CachedFailure):
                     raise cached.error
                 return cached
@@ -237,7 +262,7 @@ class CompileService:
                         if tracer.enabled:
                             tracer.record_span(
                                 "service.retry", backoff, category="service",
-                                label=request.label or request.module.name,
+                                label=request.tag,
                                 attempt=attempt + 1,
                                 error=f"{type(exc).__name__}: {exc}",
                             )
@@ -268,9 +293,10 @@ class CompileService:
     # -- fault-tolerant cache access -------------------------------------------
 
     def _cache_get(self, fingerprint: str) -> Any:
-        """A flaky cache read degrades to a miss (counted, traced)."""
+        """The stored pickle bytes, or :data:`MISS`; a flaky cache read
+        degrades to a miss (counted, traced)."""
         try:
-            return self.cache.get(fingerprint)
+            return self.cache.get_blob(fingerprint)
         except Exception as exc:
             if not is_injected_fault(exc):
                 raise
@@ -301,7 +327,7 @@ class CompileService:
                 if tracer.enabled:
                     tracer.record_span(
                         "service.dedup", 0.0, category="service",
-                        label=request.label or request.module.name,
+                        label=request.tag,
                         fingerprint=fingerprint[:12],
                     )
                 return existing
@@ -375,15 +401,19 @@ class CompileService:
 
     def lookup(self, request: CompileRequest) -> Any:
         """The sweep slot for *request* when the cache already holds its
-        result (an artifact, or the :class:`JobError` a cached compile
-        failure gives), else :data:`MISS` — the daemon's inline hit path.
+        result, else :data:`MISS` — the daemon's inline hit path.  The
+        slot is a :class:`PickledArtifact` holding the stored bytes, or
+        the :class:`JobError` a cached compile failure gives.
 
-        A miss is screened out by a membership peek that counts nothing
-        and draws no cache fault, so the compile that follows counts it
-        once.  A hit is served by :meth:`compile_request` (one request,
-        one cache hit) and shaped, breaker-admitted and journaled exactly
-        like a :meth:`sweep` slot; an entry lost between the peek and the
-        read (evicted, or an injected read fault) is compiled right here.
+        Only ``fingerprint``, ``compiler``, ``target`` and ``tag`` of
+        *request* are read on a hit, so the daemon passes a wire point
+        whose module is parsed only if it is needed.  A miss is screened
+        out by a membership peek that counts nothing and draws no cache
+        fault, so the compile that follows counts it once.  A hit is
+        served like :meth:`compile_request` (one request, one cache hit)
+        and shaped, breaker-admitted and journaled exactly like a
+        :meth:`sweep` slot; an entry lost between the peek and the read
+        (evicted, or an injected read fault) is compiled right here.
         Journaled fingerprints are left to the sweep, which replays them
         byte-identically.
         """
@@ -393,8 +423,9 @@ class CompileService:
                 journal is not None
                 and journal.lookup(fingerprint) is not None):
             return MISS
-        return self._slot(request, lambda: self.compile_request(request),
-                          journal)
+        return self._slot(
+            request, lambda: self._compile_request(request, pickled=True),
+            journal)
 
     def _slot(self, request: CompileRequest, produce: Callable[[], Any],
               journal: SweepJournal | None) -> Any:
@@ -406,7 +437,7 @@ class CompileService:
             result = err
         except Exception as exc:  # compiler error captured in-slot
             result = JobError(
-                request.label or request.module.name,
+                request.tag,
                 request.fingerprint,
                 "fault" if is_injected_fault(exc) else "compile-error",
                 str(exc),
@@ -450,7 +481,7 @@ class CompileService:
         fb_compiler, fb_target = fallback
         with tracer.span(
             "service.breaker", category="service",
-            label=request.label or request.module.name,
+            label=request.tag,
             key="-".join(key), fallback=f"{fb_compiler}-{fb_target}",
         ) as span:
             fb_request = CompileRequest(
@@ -475,8 +506,8 @@ class CompileService:
 
     def _mark_degraded(self, artifact: Any, original: tuple[str, str],
                        fallback: tuple[str, str]) -> None:
-        """Surface a breaker fallback on the artifact itself (results
-        are fresh unpickled objects, so the cached pristine artifact is
+        """Surface a breaker fallback on the artifact itself (a fallback
+        is a fresh object, so the cached pristine artifact is
         untouched)."""
         try:
             artifact.degraded = True
@@ -510,7 +541,7 @@ class CompileService:
         status = entry.get("status")
         if status == "error":
             return JobError(
-                entry.get("label", request.label or request.module.name),
+                entry.get("label", request.tag),
                 request.fingerprint,
                 entry.get("kind", "error"),
                 entry.get("message", ""),
@@ -612,7 +643,7 @@ class CompileService:
         try:
             with tracer.span(
                 "service.job", category="service", parent=parent,
-                label=request.label or request.module.name,
+                label=request.tag,
             ) as span:
                 if tracer.enabled:
                     # queue wait: submit() stamped the enqueue time
@@ -650,7 +681,7 @@ class CompileService:
         except FutureTimeoutError:
             self.metrics.record_timeout()
             raise JobError(
-                request.label or request.module.name,
+                request.tag,
                 request.fingerprint,
                 "timeout",
                 f"compile exceeded {self.timeout_s:g}s",
@@ -664,7 +695,7 @@ class CompileService:
         tracer = get_tracer()
         with tracer.span(
             "service.hedge", category="service",
-            label=request.label or request.module.name,
+            label=request.tag,
         ) as span:
             try:
                 result = self._compile_request(

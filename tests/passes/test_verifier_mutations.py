@@ -357,3 +357,85 @@ def test_corpus_verifies_clean_at_structure_level(seed):
     all generated inputs (adversarial directives notwithstanding)."""
     module = corpus_case(seed).module
     assert check_module(module, "structure") == []
+
+
+def _two_pass_expr_uses(expr, defined, arrays, kernel, out, where):
+    """The reference for ``_expr_uses``: one walk for the scalars, a
+    second for the array references."""
+    from repro.ir.expr import free_vars
+    from repro.ir.verify import VerifyFailure
+
+    for name in sorted(free_vars(expr)):
+        if name not in defined:
+            out.append(VerifyFailure(
+                "def-before-use", kernel.name,
+                f"scalar {name!r} used {where} before any definition"))
+    for node in expr.walk():
+        if isinstance(node, ArrayRef) and node.name not in arrays:
+            out.append(VerifyFailure(
+                "known-arrays", kernel.name,
+                f"array {node.name!r} referenced {where} is not an "
+                "array parameter"))
+
+
+def _expressions():
+    from hypothesis import strategies as st
+
+    from repro.ir.expr import BinOp, Call, Ternary, UnaryOp
+
+    names = st.sampled_from(["a", "b", "i", "n", "s"])
+    leaves = st.one_of(names.map(Var), st.integers(0, 9).map(IntLit))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(names, st.lists(sub, min_size=1, max_size=3)).map(
+            lambda t: ArrayRef(t[0], tuple(t[1]))),
+        st.tuples(sub, sub).map(lambda t: BinOp("+", *t)),
+        sub.map(lambda e: UnaryOp("-", e)),
+        st.lists(sub, max_size=2).map(lambda a: Call("fmax", tuple(a))),
+        st.tuples(sub, sub, sub).map(lambda t: Ternary(*t)),
+    ), max_leaves=12)
+
+
+def test_one_walk_reports_what_two_walks_did():
+    """``_expr_uses`` walks each expression once; its failures, and
+    their order, are those of the two-walk reference."""
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    from repro.ir.expr import BinOp
+    from repro.ir.verify import _expr_uses
+
+    kernel = clean_kernel()
+    names = st.frozensets(st.sampled_from(["a", "b", "i", "n", "s"]))
+
+    siblings = BinOp("+", ArrayRef("a", (Var("i"),)),
+                     ArrayRef("b", (IntLit(0),)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_expressions(), names, names)
+    @example(siblings, frozenset(), frozenset())
+    def check(expr, defined, arrays):
+        got: list = []
+        want: list = []
+        _expr_uses(expr, set(defined), set(arrays), kernel, got, "here")
+        _two_pass_expr_uses(expr, set(defined), set(arrays), kernel, want,
+                            "here")
+        assert got == want
+
+    check()
+
+
+def test_verifier_reports_on_the_corpus_are_unchanged(monkeypatch):
+    """Every corpus module and catalog corruption gets the same failures,
+    in the same order, as with the two-walk reference."""
+    import repro.ir.verify as verify
+
+    kernels = [k for seed in CORPUS_SEEDS
+               for k in corpus_case(seed).module.kernels]
+    for name in sorted(CATALOG):
+        kernel = clean_kernel()
+        CATALOG[name][0](kernel)
+        kernels.append(kernel)
+    kernels += [parse_kernel(source) for source, _ in SOURCE_CATALOG.values()]
+    got = [check_kernel(k, "strict") for k in kernels]
+    monkeypatch.setattr(verify, "_expr_uses", _two_pass_expr_uses)
+    assert got == [check_kernel(k, "strict") for k in kernels]

@@ -151,6 +151,7 @@ class TestServerCli:
         assert code == 0
         assert "server self-test: PASS" in out
         assert "byte-identical=yes" in out
+        assert "warm: 4/4 hits, 0 compiles, byte-identical=yes" in out
         assert "rejected with 429" in out
 
     def test_client_spawn_compile(self, demo_file, capsys):
@@ -283,6 +284,13 @@ class TestUnusableOptionValues:
         (["autotune", "--size", "0"], "0"),
         (["matrix", "--size", "0"], "0"),
         (["matrix", "--size", "-8"], "-8"),
+        (["serve", "--port", "-5"], "-5"),
+        (["serve", "--port", "99999"], "99999"),
+        (["serve", "--shards", "0"], "0"),
+        (["serve", "--max-batch", "0"], "0"),
+        (["serve", "--batch-window", "-1"], "-1"),
+        (["serve", "--quota-rate", "-1"], "-1"),
+        (["client", "--port", "99999", "status"], "99999"),
     ])
     def test_exits_2_with_one_line(self, capsys, demo_file, argv, value):
         option = argv[argv.index(value) - 1]

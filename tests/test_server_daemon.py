@@ -5,6 +5,7 @@ connections, admission control (queue bound, per-client quotas, drain),
 connection survival through malformed frames, and the endpoint surface.
 """
 
+import base64
 import socket
 import threading
 
@@ -16,6 +17,7 @@ from repro.server.client import ServerClient, spawn_local
 from repro.server.daemon import ReproServer, ServerConfig
 from repro.server.quotas import AdmissionController, TokenBucket
 from repro.server.smoke import artifact_signature, fig4_requests
+from repro.service.cache import MISS
 from repro.service.fingerprint import CompileRequest
 from repro.service.resilience import SimClock
 
@@ -151,8 +153,8 @@ def test_cached_refusal_answers_the_batched_slot_inline():
     assert batched["status"] == "error"
     assert batched["kind"] == "compile-error"
     assert "PGI" in batched["message"]
-    assert ((inline["status"], inline["kind"], inline["message"])
-            == (batched["status"], batched["kind"], batched["message"]))
+    assert inline == batched
+    assert server.service.metrics.snapshot()["cache_hits"] == 1
 
 
 def test_sweep_mixing_hits_and_misses_keeps_request_order():
@@ -166,6 +168,163 @@ def test_sweep_mixing_hits_and_misses_keeps_request_order():
         got = [artifact_signature(s) for s in client.sweep(requests)]
         assert server.batcher.snapshot()["submitted"] == 6
     assert got == baseline
+
+
+def _frame(op: str, **body) -> bytes:
+    return protocol.encode_frame({"id": 1, "op": op, "client": "t", **body})
+
+
+def _slot_signature(slot: dict) -> tuple:
+    result = protocol.slot_from_wire(slot)
+    return (artifact_signature(result), getattr(result, "degraded", False))
+
+
+def test_hit_is_answered_from_the_stored_bytes(monkeypatch):
+    """A hit parses nothing, prints nothing, and neither unpickles nor
+    re-pickles: the wire artifact is the cache's stored pickle."""
+    import pickle
+
+    from repro.server import protocol as protocol_module
+    from repro.service import fingerprint as fingerprint_module
+
+    request = demo_request()
+    point = protocol.point_to_wire(request)
+    server = ReproServer(ServerConfig(port=0, jobs=1))
+    try:
+        cold = server.handle_frame(_frame("compile", point=point))
+        calls: list[str] = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module, name in ((protocol_module, "parse_module"),
+                             (protocol_module, "print_module"),
+                             (fingerprint_module, "print_module"),
+                             (pickle, "loads"), (pickle, "dumps")):
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+        hit = server.handle_frame(_frame("compile", point=point))
+        monkeypatch.undo()
+        assert calls == []
+        assert hit["fingerprint"] == cold["fingerprint"] == request.fingerprint
+        stored = server.service.cache.get_blob(request.fingerprint)
+        assert hit["result"] == {
+            "status": "ok",
+            "artifact": base64.b64encode(stored).decode("ascii"),
+        }
+        assert _slot_signature(hit["result"]) == _slot_signature(
+            cold["result"])
+        assert server.service.metrics.snapshot()["cache_hits"] == 1
+    finally:
+        server.drain()
+
+
+def test_non_canonical_source_hits_through_the_parse_path(monkeypatch):
+    """A source spelled differently from the canonical print misses the
+    text key, is parsed, and then hits under its canonical fingerprint."""
+    from repro.server import protocol as protocol_module
+
+    request = demo_request()
+    point = protocol.point_to_wire(request)
+    respelled = dict(point, source="\n\n" + point["source"] + "\n  \n")
+    server = ReproServer(ServerConfig(port=0, jobs=1))
+    try:
+        cold = server.handle_frame(_frame("compile", point=point))
+        parses: list[str] = []
+        parse = protocol_module.parse_module
+        monkeypatch.setattr(
+            protocol_module, "parse_module",
+            lambda *a, **k: parses.append("parse") or parse(*a, **k))
+        hit = server.handle_frame(_frame("compile", point=respelled))
+        assert parses == ["parse"]
+        assert hit["fingerprint"] == cold["fingerprint"]
+        assert _slot_signature(hit["result"]) == _slot_signature(
+            cold["result"])
+        snap = server.service.metrics.snapshot()
+        assert (snap["compiles"], snap["cache_hits"]) == (1, 1)
+        assert server.batcher.snapshot()["submitted"] == 1
+    finally:
+        server.drain()
+
+
+@pytest.mark.parametrize("spec", [
+    "cache-read:p=0.5,seed=7",
+    "cache-read:p=0.5;transient:p=0.5,seed=3",
+])
+def test_hit_path_counts_and_draws_like_the_parsed_path(spec):
+    """Under a seeded fault plan the wire hit path leaves every counter,
+    fault-draw count and breaker state where today's parse-then-lookup
+    path leaves them, and answers the same slots.  The reference is an
+    in-process service driven exactly as the daemon used to be."""
+    from repro.faults import parse_fault_spec
+    from repro.service.resilience import CircuitBreaker
+    from repro.service.scheduler import CompileService
+
+    # OpenCL has a breaker fallback route, so an opened breaker re-routes
+    # a lost-and-failed hit, which needs the (lazily parsed) module
+    requests = fig4_requests(6, target="opencl")
+
+    def kwargs() -> dict:
+        return {"fault_plan": parse_fault_spec(spec), "clock": SimClock(),
+                "breaker": CircuitBreaker(failure_threshold=1)}
+
+    reference = CompileService(**kwargs())
+    server = ReproServer(ServerConfig(port=0, jobs=1,
+                                      service_kwargs=kwargs()))
+    try:
+        points = [protocol.point_to_wire(r) for r in requests]
+        warm = server.handle_frame(_frame("sweep", points=points))
+        want = [protocol.slot_to_wire(s) for s in reference.sweep(requests)]
+        assert ([_slot_signature(s) for s in warm["results"]]
+                == [_slot_signature(s) for s in want])
+        for _ in range(3):
+            for request, point in zip(requests, points):
+                got = server.handle_frame(_frame("compile", point=point))
+                slot = reference.lookup(request)
+                if slot is MISS:
+                    slot = reference.sweep([request])[0]
+                assert (_slot_signature(got["result"])
+                        == _slot_signature(protocol.slot_to_wire(slot)))
+        service = server.service
+
+        def counters(snap: dict) -> dict:
+            return {k: v for k, v in snap.items() if k != "time_saved_s"}
+
+        assert (counters(service.metrics.snapshot())
+                == counters(reference.metrics.snapshot()))
+        assert (service.cache.stats.snapshot()
+                == reference.cache.stats.snapshot())
+        assert service.fault_plan._counters == reference.fault_plan._counters
+        assert service.breaker.snapshot() == reference.breaker.snapshot()
+        assert service.metrics.snapshot()["cache_io_errors"] > 0
+    finally:
+        server.drain()
+        reference.close()
+
+
+def test_journaled_hit_is_left_to_the_sweep(tmp_path):
+    """A fingerprint the sweep journal holds is not answered inline: it
+    goes through the batcher, whose sweep replays the journaled slot."""
+    from repro.service.resilience import SweepJournal
+
+    request = demo_request()
+    point = protocol.point_to_wire(request)
+    journal = SweepJournal(tmp_path / "sweep.jsonl")
+    server = ReproServer(ServerConfig(port=0, jobs=1,
+                                      service_kwargs={"journal": journal}))
+    try:
+        cold = server.handle_frame(_frame("compile", point=point))
+        assert journal.lookup(request.fingerprint)["status"] == "ok"
+        again = server.handle_frame(_frame("compile", point=point))
+        assert server.batcher.snapshot()["submitted"] == 2
+        assert _slot_signature(again["result"]) == _slot_signature(
+            cold["result"])
+        assert server.service.metrics.snapshot()["compiles"] == 1
+    finally:
+        server.drain()
 
 
 def test_counters_count_each_request_once():

@@ -1,6 +1,7 @@
 """The two-tier artifact cache: LRU behaviour, disk tier, invisibility."""
 
 import pickle
+import zlib
 
 import pytest
 
@@ -83,11 +84,24 @@ class TestDiskTier:
         assert cache.get("fp") is MISS
         assert not path.exists()
 
-    def test_entries_are_plain_pickles(self, tmp_path):
+    def test_entries_are_compressed_pickles(self, tmp_path):
         cache = ArtifactCache(cache_dir=tmp_path)
         cache.put("fp", [1, 2, 3])
-        with (tmp_path / "fp.pkl").open("rb") as fh:
-            assert pickle.load(fh) == [1, 2, 3]
+        stored = (tmp_path / "fp.pkl").read_bytes()
+        blob = zlib.decompress(stored)
+        assert blob == pickle.dumps([1, 2, 3],
+                                    protocol=pickle.HIGHEST_PROTOCOL)
+        assert cache.get_blob("fp") == blob
+        assert cache.get("fp") == [1, 2, 3]
+
+    def test_legacy_uncompressed_entry_is_a_miss_and_removed(self, tmp_path):
+        path = tmp_path / "fp.pkl"
+        path.write_bytes(pickle.dumps([1, 2, 3],
+                                      protocol=pickle.HIGHEST_PROTOCOL))
+        cache = ArtifactCache(cache_dir=tmp_path)
+        assert cache.get_blob("fp") is MISS
+        assert not path.exists()
+        assert cache.stats.misses == 1 and cache.stats.disk_hits == 0
 
     def test_clear_disk(self, tmp_path):
         cache = ArtifactCache(cache_dir=tmp_path)
@@ -247,6 +261,21 @@ class TestPeerReadThrough:
                               peer_dirs=(peer_dir,))
         local.put("fp", 1)
         assert list(peer_dir.iterdir()) == []
+
+    def test_legacy_uncompressed_peer_entry_is_skipped_not_deleted(
+            self, tmp_path):
+        from repro.service import ArtifactCache
+
+        peer_dir = tmp_path / "peer"
+        peer_dir.mkdir()
+        legacy = peer_dir / "fp.pkl"
+        legacy.write_bytes(pickle.dumps("old",
+                                        protocol=pickle.HIGHEST_PROTOCOL))
+        local = ArtifactCache(cache_dir=tmp_path / "local",
+                              peer_dirs=(peer_dir,))
+        assert local.get("fp") is MISS
+        assert legacy.exists()
+        assert local.stats.peer_hits == 0 and local.stats.misses == 1
 
     def test_sharded_peers_share_the_shard_layout(self, tmp_path):
         from repro.service import ShardedArtifactCache

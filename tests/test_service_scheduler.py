@@ -282,3 +282,26 @@ class TestFailureCaching:
         assert replayed.kind == "compile-error"
         assert replayed.message == "structured boom"
         assert replayed.fingerprint == req.fingerprint
+
+
+class TestTimeSaved:
+    def test_known_fingerprint_does_not_compute_the_mean(self, monkeypatch):
+        """A hit on a fingerprint with a recorded compile time adds that
+        time; the O(compiles) running mean is taken only for unknown
+        fingerprints (artifacts inherited through the disk tier)."""
+        from repro.service import ServiceMetrics
+
+        metrics = ServiceMetrics()
+        metrics.record_compile("a", 0.25)
+        metrics.record_compile("b", 0.5)
+        calls: list[str] = []
+        mean = ServiceMetrics._mean_compile_s
+        monkeypatch.setattr(
+            ServiceMetrics, "_mean_compile_s",
+            lambda self: calls.append("mean") or mean(self))
+        metrics.record_cache_hit("a")
+        assert calls == []
+        assert metrics.time_saved_s == 0.25
+        metrics.record_cache_hit("unknown")
+        assert calls == ["mean"]
+        assert metrics.time_saved_s == 0.25 + 0.375
